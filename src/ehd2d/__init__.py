@@ -29,13 +29,12 @@ from .poisson import (
     solve_neumann,
 )
 from .transport import (
-    ChargePair,
     bernoulli,
     sg_face_flux,
     step_charges,
     transport_generator,
 )
-from .fluid import FluidState, body_force, ladyzhenskaya_ratio, step_velocity
+from .fluid import body_force, ladyzhenskaya_ratio, step_velocity
 from .stationary import (
     StationarySolution,
     functional_J,
@@ -79,9 +78,9 @@ __all__ = [
     "kinetic_energy", "load_matrix", "lp_norm", "save_matrix",
     "apply_dirichlet_laplacian", "laplacian_matrix",
     "solve_dirichlet", "solve_neumann",
-    "ChargePair", "bernoulli", "sg_face_flux", "step_charges",
+    "bernoulli", "sg_face_flux", "step_charges",
     "transport_generator",
-    "FluidState", "body_force", "ladyzhenskaya_ratio", "step_velocity",
+    "body_force", "ladyzhenskaya_ratio", "step_velocity",
     "StationarySolution", "functional_J", "sinh_form_check", "solve_pb",
     "stationary_pressure_check",
     "DecayFit", "EnergyReport", "csiszar_check", "energy_report",

@@ -35,8 +35,7 @@ from .grid import (
     kinetic_energy,
 )
 from .fluid import ladyzhenskaya_ratio
-from .poisson import laplacian_matrix
-from scipy.sparse.linalg import splu
+from .poisson import laplacian_matrix, solve_neumann
 
 DENSITY_FLOOR = 1e-300
 
@@ -274,10 +273,10 @@ def weighted_poincare_estimate(rho, tol=1e-12, max_iter=500):
     eigenproblem A g = mu (D g - theta r) on the hyperplane r^T g = 0, with
     A the Neumann stiffness matrix of g (interior-face gradient quadrature),
     D = diag(vol/rho^2) and r = D rho the constraint covector. Inverse power
-    iteration solves it: each sweep solves the singular A against the
-    constraint-compatible right-hand side (one pinned cell, constant fixed
-    afterwards along the kernel) and the Rayleigh quotient of the limit
-    gives mu_min; returned is c = 1/mu_min.
+    iteration solves it: each sweep hands the constraint-compatible
+    right-hand side to the Neumann solver of the poisson module, fixes the
+    constant along the kernel afterwards, and the Rayleigh quotient of the
+    limit gives mu_min; returned is c = 1/mu_min.
     """
     g = rho.grid
     if np.any(rho.data <= 0.0):
@@ -285,10 +284,6 @@ def weighted_poincare_estimate(rho, tol=1e-12, max_iter=500):
     n = g.nx * g.ny
     vol = g.vol
     A = (-laplacian_matrix(g, "neumann") * vol).tocsr()
-    Ap = A.tolil(copy=True)
-    Ap[0, :] = 0.0
-    Ap[0, 0] = 1.0
-    lu = splu(Ap.tocsr().tocsc())
 
     rho_flat = rho.data.ravel()
     d = vol / (rho_flat * rho_flat)
@@ -305,9 +300,8 @@ def weighted_poincare_estimate(rho, tol=1e-12, max_iter=500):
     for k in range(1, max_iter + 1):
         b = d * gvec
         b -= (float(ones @ b) / float(ones @ r)) * r
-        bp = b.copy()
-        bp[0] = 0.0
-        x = lu.solve(bp)
+        # A = -vol Lap_N, so A x = b is the Neumann solve of -b/vol.
+        x = solve_neumann(ScalarField(g, (-b / vol).reshape(rho.data.shape))).data.ravel()
         x -= (float(r @ x) / r_dot_1) * ones
         dx = d * x
         mu = float(x @ (A @ x)) / float(x @ dx)

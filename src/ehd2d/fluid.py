@@ -21,30 +21,15 @@ form whose pairing with the velocity telescopes against the potential-energy
 bookkeeping in the diagnostics module.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NonConvergence, ZeroField
-from .grid import MacVectorField, ScalarField, grad_norm_sq, grad_to_faces, div_from_faces
+from .grid import MacVectorField, grad_norm_sq, grad_to_faces, div_from_faces
 from .poisson import _lap1d, solve_neumann
-
-
-class FluidState:
-    """Velocity plus the pressure of the most recent projection."""
-
-    __slots__ = ("u", "p")
-
-    def __init__(self, u, p):
-        self.u = u
-        self.p = p
-
-    @classmethod
-    def at_rest(cls, grid):
-        return cls(MacVectorField.zeros(grid), ScalarField.zeros(grid))
-
-    def copy(self):
-        return FluidState(self.u.copy(), self.p.copy())
 
 
 def body_force(v, w, phi):
@@ -60,12 +45,11 @@ def body_force(v, w, phi):
 
 
 # ---------------------------------------------------------------------------
-# viscous operators, cached per (grid, dt)
+# viscous operators; only the latest (grid, dt) pair is kept, since a
+# CFL-limited run asks for a new dt on every step
 # ---------------------------------------------------------------------------
 
-_viscous_cache = {}
-
-
+@lru_cache(maxsize=1)
 def _viscous_lu(grid, dt):
     """LU factors of (I - dt Lap) for the two interior velocity components.
 
@@ -75,24 +59,21 @@ def _viscous_lu(grid, dt):
     cell away; the mirror ghost closure (end diagonal -3/h^2) realizes the
     zero tangential velocity there. uy is the transpose arrangement.
     """
-    key = (grid.key(), float(dt))
-    if key not in _viscous_cache:
-        dxx_val = _lap1d(grid.nx - 1, grid.hx, "value")
-        dyy_ghost = _lap1d(grid.ny, grid.hy, "dirichlet")
-        ax = sp.kron(dyy_ghost, sp.identity(grid.nx - 1)) + sp.kron(
-            sp.identity(grid.ny), dxx_val
-        )
-        dyy_val = _lap1d(grid.ny - 1, grid.hy, "value")
-        dxx_ghost = _lap1d(grid.nx, grid.hx, "dirichlet")
-        ay = sp.kron(dyy_val, sp.identity(grid.nx)) + sp.kron(
-            sp.identity(grid.ny - 1), dxx_ghost
-        )
-        nux = grid.ny * (grid.nx - 1)
-        nuy = (grid.ny - 1) * grid.nx
-        lux = splu((sp.identity(nux) - dt * ax).tocsc())
-        luy = splu((sp.identity(nuy) - dt * ay).tocsc())
-        _viscous_cache[key] = (lux, luy)
-    return _viscous_cache[key]
+    dxx_val = _lap1d(grid.nx - 1, grid.hx, "value")
+    dyy_ghost = _lap1d(grid.ny, grid.hy, "dirichlet")
+    ax = sp.kron(dyy_ghost, sp.identity(grid.nx - 1)) + sp.kron(
+        sp.identity(grid.ny), dxx_val
+    )
+    dyy_val = _lap1d(grid.ny - 1, grid.hy, "value")
+    dxx_ghost = _lap1d(grid.nx, grid.hx, "dirichlet")
+    ay = sp.kron(dyy_val, sp.identity(grid.nx)) + sp.kron(
+        sp.identity(grid.ny - 1), dxx_ghost
+    )
+    nux = grid.ny * (grid.nx - 1)
+    nuy = (grid.ny - 1) * grid.nx
+    lux = splu((sp.identity(nux) - dt * ax).tocsc())
+    luy = splu((sp.identity(nuy) - dt * ay).tocsc())
+    return lux, luy
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +118,10 @@ def _advect(u):
     return adv_x, adv_y
 
 
-def step_velocity(s, f, dt, proj_tol=1e-10, div_tol=1e-8):
-    """Advance the fluid state by one projection step under the face force f.
+def step_velocity(u, f, dt, proj_tol=1e-10, div_tol=1e-8):
+    """One projection step of the velocity u under the face force f.
+
+    Returns (u_new, p) with p the zero-mean projection pressure.
 
     The force enters after the viscous solve so that a force which is a
     discrete gradient is removed exactly by the projection; diffusing it
@@ -146,13 +129,13 @@ def step_velocity(s, f, dt, proj_tol=1e-10, div_tol=1e-8):
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    g = s.u.grid
-    adv_x, adv_y = _advect(s.u)
+    g = u.grid
+    adv_x, adv_y = _advect(u)
 
-    star_x = s.u.ux[:, 1:-1] - dt * adv_x
-    star_y = s.u.uy[1:-1, :] - dt * adv_y
+    star_x = u.ux[:, 1:-1] - dt * adv_x
+    star_y = u.uy[1:-1, :] - dt * adv_y
 
-    lux, luy = _viscous_lu(g, dt)
+    lux, luy = _viscous_lu(g, float(dt))
     visc_x = lux.solve(star_x.ravel()).reshape(star_x.shape)
     visc_y = luy.solve(star_y.ravel()).reshape(star_y.shape)
 
@@ -167,7 +150,7 @@ def step_velocity(s, f, dt, proj_tol=1e-10, div_tol=1e-8):
     worst = float(np.abs(div_from_faces(u_new).data).max())
     if worst > div_tol:
         raise NonConvergence(1, worst, "projection (residual divergence)")
-    return FluidState(u_new, q)
+    return u_new, q
 
 
 def ladyzhenskaya_ratio(u):

@@ -9,11 +9,10 @@ Two boundary treatments are needed by the rest of the package:
   walls. The operator is singular with a constant nullspace; solutions are
   returned with zero mean and the right-hand side must have zero integral.
 
-Both solves default to a cached sparse LU factorization (grids stay at or
-below a few hundred squared, where the factorization is milliseconds and the
-back-substitutions are essentially free). A Jacobi-preconditioned conjugate
-gradient is available behind the same residual contract for the Dirichlet
-problem, method="cg".
+Both solves use a sparse LU factorization cached per grid in this module
+(grids stay at or below a few hundred squared, where the factorization is
+milliseconds and the back-substitutions are essentially free); callers that
+only need the operator take laplacian_matrix instead.
 
 Residuals are measured in the grid L2 norm sqrt(hx*hy*sum(r^2)) against
 tol * (1 + |rhs|), so tolerances mean the same thing on every mesh.
@@ -85,7 +84,7 @@ def _neumann_ops(grid):
 
 
 def apply_dirichlet_laplacian(f):
-    """Matrix-free check helper: Lap_h f with the ghost = -interior closure."""
+    """Check helper: Lap_h f with the ghost = -interior closure."""
     A, _ = _dirichlet_ops(f.grid)
     return ScalarField(f.grid, (A @ f.data.ravel()).reshape(f.data.shape))
 
@@ -94,55 +93,21 @@ def _grid_l2(grid, r):
     return float(np.sqrt(grid.vol * (r @ r)))
 
 
-def _pcg(A, b, tol_abs, max_iter, vol):
-    """Jacobi-preconditioned CG on the SPD system (-A) x = -b."""
-    n = b.size
-    x = np.zeros(n)
-    dinv = 1.0 / (-A.diagonal())
-    r = -b.copy()
-    z = dinv * r
-    p = z.copy()
-    rz = r @ z
-    for k in range(1, max_iter + 1):
-        Ap = -(A @ p)
-        alpha = rz / (p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        res = float(np.sqrt(vol * (r @ r)))
-        if res <= tol_abs:
-            return x, k, res
-        z = dinv * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return None, max_iter, res
-
-
-def solve_dirichlet(rhs, tol=_DEFAULT_TOL, max_iter=2000, method="direct"):
+def solve_dirichlet(rhs, tol=_DEFAULT_TOL):
     """Solve Lap_h phi = rhs with homogeneous Dirichlet walls.
 
-    Returns phi with grid-L2 residual at most tol * (1 + |rhs|_2). The direct
-    path factorizes once per grid and back-substitutes; method="cg" runs the
-    preconditioned conjugate gradient under the same contract.
+    Returns phi with grid-L2 residual at most tol * (1 + |rhs|_2). The
+    operator is factorized once per grid; each call back-substitutes.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     grid = rhs.grid
     A, lu = _dirichlet_ops(grid)
     b = rhs.data.ravel()
-    bound = tol * (1.0 + _grid_l2(grid, b))
-    if method == "direct":
-        x = lu.solve(b)
-        it = 1
-    elif method == "cg":
-        x, it, res = _pcg(A, b, bound, max_iter, grid.vol)
-        if x is None:
-            raise NonConvergence(it, res, "Dirichlet Poisson CG")
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    x = lu.solve(b)
     res = _grid_l2(grid, A @ x - b)
-    if res > bound:
-        raise NonConvergence(it, res, "Dirichlet Poisson solve")
+    if res > tol * (1.0 + _grid_l2(grid, b)):
+        raise NonConvergence(1, res, "Dirichlet Poisson solve")
     return ScalarField(grid, x.reshape(rhs.data.shape))
 
 

@@ -3,13 +3,13 @@
 One step advances the full system state {u, p, v, w, phi, t} through the
 lagged splitting
 
-    1. phi  <- Dirichlet Poisson solve of v - w
+    1. phi  <- carried by the state (the Poisson solve of its v - w)
     2. v, w <- implicit Scharfetter-Gummel transport step (phi, u frozen)
     3. f    <- (v - w) grad phi on faces
     4. u, p <- projection step under f
     5. phi refreshed from the updated charges
 
-so the returned state always carries the potential consistent with its own
+so the returned state again carries the potential consistent with its own
 charges. The splitting is first order in dt; the advective CFL limit
 dt <= cfl_safety * min(hx, hy) / max(|u|, |grad phi|) is enforced here (the
 individual substeps are unconditionally stable).
@@ -44,14 +44,19 @@ from .grid import (
     save_matrix,
 )
 from .poisson import solve_dirichlet
-from .transport import ChargePair, step_charges
-from .fluid import FluidState, body_force, step_velocity
+from .transport import step_charges
+from .fluid import body_force, step_velocity
 from .stationary import export_stationary, solve_pb
 from .diagnostics import csv_header, csv_row, energy_report
 
 
 class SystemState:
-    """Bundle {u, p, v, w, phi, t}; phi is the Poisson solve of v - w."""
+    """Bundle {u, p, v, w, phi, t}; phi is the Poisson solve of v - w.
+
+    step() relies on that: it uses phi as given. Every state this module
+    builds carries it; a hand-built state must too (solve_dirichlet of
+    v - w, or phi = 0 with v = w).
+    """
 
     __slots__ = ("u", "p", "v", "w", "phi", "t")
 
@@ -316,8 +321,11 @@ def build_initial_state(config, equilibrium=None):
     if config.v_file or config.w_file:
         if not (config.v_file and config.w_file):
             raise ConfigError("initial.v_file and initial.w_file must be given together")
-        v0 = ScalarField(grid, load_matrix(config.v_file))
-        w0 = ScalarField(grid, load_matrix(config.w_file))
+        try:
+            v0 = ScalarField(grid, load_matrix(config.v_file))
+            w0 = ScalarField(grid, load_matrix(config.w_file))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"bad initial charge file: {exc}") from exc
         if v0.data.min() < 0.0 or w0.data.min() < 0.0:
             raise ConfigError("initial charge files contain negative densities")
     elif config.preset == "symmetric-null":
@@ -374,24 +382,21 @@ def cfl_limit(state, cfl_safety=1.0):
 
 
 def step(state, dt, tol_poisson=1e-10, tol_projection=1e-10, cfl_safety=1.0):
-    """Advance one step of the lagged splitting; raises CflViolation when dt is too big."""
-    g = state.grid
-    rhs = ScalarField(g, state.v.data - state.w.data)
-    phi = solve_dirichlet(rhs, tol=tol_poisson)
+    """Advance one step of the lagged splitting; raises CflViolation when dt is too big.
 
-    limit = cfl_limit(SystemState(state.u, state.p, state.v, state.w, phi, state.t),
-                      cfl_safety)
+    state.phi must be the Poisson solve of state.v - state.w (see
+    SystemState); it is used as given, not recomputed.
+    """
+    limit = cfl_limit(state, cfl_safety)
     if dt > limit * (1.0 + 1e-9):
         raise CflViolation(dt, limit)
 
-    charges = step_charges(ChargePair(state.v, state.w), phi, state.u, dt)
-    f = body_force(charges.v, charges.w, phi)
-    fs = step_velocity(FluidState(state.u, state.p), f, dt,
-                       proj_tol=tol_projection)
+    v, w = step_charges(state.v, state.w, state.phi, state.u, dt)
+    f = body_force(v, w, state.phi)
+    u, p = step_velocity(state.u, f, dt, proj_tol=tol_projection)
 
-    rhs_new = ScalarField(g, charges.v.data - charges.w.data)
-    phi_new = solve_dirichlet(rhs_new, tol=tol_poisson)
-    return SystemState(fs.u, fs.p, charges.v, charges.w, phi_new, state.t + dt)
+    phi = solve_dirichlet(ScalarField(state.grid, v.data - w.data), tol=tol_poisson)
+    return SystemState(u, p, v, w, phi, state.t + dt)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import LineSearchStall, NonConvergence
 from .grid import ScalarField, h1_seminorm, save_matrix
-from .poisson import _dirichlet_ops
+from .poisson import laplacian_matrix
 
 _DEFAULT_TOL = 1e-10
 
@@ -89,7 +89,7 @@ def solve_pb(M, N, grid, tol=_DEFAULT_TOL, max_iter=50, phi0=None):
         raise ValueError("masses must be positive")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    A, _ = _dirichlet_ops(grid)
+    A = laplacian_matrix(grid, "dirichlet")
     vol = grid.vol
     n = grid.nx * grid.ny
     phi = np.zeros(n) if phi0 is None else phi0.data.ravel().copy()
@@ -151,7 +151,7 @@ def sinh_form_check(s):
     converged solution.
     """
     grid = s.grid
-    A, _ = _dirichlet_ops(grid)
+    A = laplacian_matrix(grid, "dirichlet")
     phi = s.phi.data.ravel()
     vol = grid.vol
     log_ip = _log_int_exp(phi, vol)

@@ -67,25 +67,6 @@ def sg_face_flux(cL, cR, dpsi, h, sign):
     return (bernoulli(sign * dpsi) * cL - bernoulli(-sign * dpsi) * cR) / h
 
 
-class ChargePair:
-    """The two nonnegative species densities advanced together."""
-
-    __slots__ = ("v", "w")
-
-    def __init__(self, v, w):
-        if v.grid != w.grid:
-            raise ValueError("charge densities live on different grids")
-        self.v = v
-        self.w = w
-
-    @property
-    def grid(self):
-        return self.v.grid
-
-    def copy(self):
-        return ChargePair(self.v.copy(), self.w.copy())
-
-
 def transport_generator(phi, u, sign):
     """Sparse generator L with (L c) = -div(F_sg + F_upwind) per cell.
 
@@ -158,13 +139,16 @@ def _implicit_solve(c, L, dt):
     return x.reshape(c.shape)
 
 
-def step_charges(c, phi, u, dt):
-    """One backward-Euler transport step for both species, potential lagged."""
+def step_charges(v, w, phi, u, dt):
+    """One backward-Euler transport step for both species, potential lagged.
+
+    Returns the new (v, w).
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    g = c.grid
+    g = v.grid
     Lv = transport_generator(phi, u, CATION_SIGN)
     Lw = transport_generator(phi, u, ANION_SIGN)
-    v_new = _implicit_solve(c.v.data, Lv, dt)
-    w_new = _implicit_solve(c.w.data, Lw, dt)
-    return ChargePair(ScalarField(g, v_new), ScalarField(g, w_new))
+    v_new = _implicit_solve(v.data, Lv, dt)
+    w_new = _implicit_solve(w.data, Lw, dt)
+    return ScalarField(g, v_new), ScalarField(g, w_new)

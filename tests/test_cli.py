@@ -31,6 +31,18 @@ class TestExitCodes:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_bad_charge_file_is_one_line_config_error(self, tmp_path, capsys):
+        vp, wp = str(tmp_path / "v.txt"), str(tmp_path / "w.txt")
+        save_matrix(vp, np.ones((3, 5)))
+        save_matrix(wp, np.ones((8, 8)))
+        code = cli.main(["run", "--set", "grid.nx=8", "--set", "grid.ny=8",
+                         "--set", f"initial.v_file={vp}",
+                         "--set", f"initial.w_file={wp}",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
     def test_unknown_key_maps_to_one(self, capsys):
         assert cli.main(["run", "--set", "grid.bogus=3"]) == 1
 

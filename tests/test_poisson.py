@@ -20,7 +20,7 @@ from ehd2d import (
     solve_dirichlet,
     solve_neumann,
 )
-from ehd2d.errors import Incompatible, NonConvergence
+from ehd2d.errors import Incompatible
 
 
 def manufactured_error(n):
@@ -84,26 +84,6 @@ class TestDirichletSolve:
         g = Grid2D(9, 9)
         phi = solve_dirichlet(ScalarField.zeros(g))
         assert np.abs(phi.data).max() == 0.0
-
-    def test_cg_path_matches_direct(self):
-        g = Grid2D(24, 24)
-        rng = np.random.default_rng(3)
-        rhs = ScalarField(g, rng.standard_normal((24, 24)))
-        a = solve_dirichlet(rhs, method="direct")
-        b = solve_dirichlet(rhs, method="cg", tol=1e-12)
-        assert np.abs(a.data - b.data).max() <= 1e-8
-
-    def test_cg_iteration_cap(self):
-        g = Grid2D(48, 48)
-        rng = np.random.default_rng(8)
-        rhs = ScalarField(g, rng.standard_normal((48, 48)))
-        with pytest.raises(NonConvergence):
-            solve_dirichlet(rhs, method="cg", max_iter=2)
-
-    def test_unknown_method_rejected(self):
-        g = Grid2D(8, 8)
-        with pytest.raises(ValueError):
-            solve_dirichlet(ScalarField.zeros(g), method="gmres")
 
 
 class TestMatrixStructure:

@@ -12,7 +12,6 @@ import pytest
 import scipy.sparse as sp
 
 from ehd2d import (
-    ChargePair,
     Grid2D,
     MacVectorField,
     ScalarField,
@@ -100,11 +99,9 @@ def random_setup(seed, nx=20, ny=15):
     u = MacVectorField.zeros(g)
     u.ux[:, 1:-1] = rng.uniform(-2, 2, (ny, nx - 1))
     u.uy[1:-1, :] = rng.uniform(-2, 2, (ny - 1, nx))
-    c = ChargePair(
-        ScalarField(g, rng.uniform(0.0, 2.0, (ny, nx))),
-        ScalarField(g, rng.uniform(0.0, 2.0, (ny, nx))),
-    )
-    return g, phi, u, c
+    v = ScalarField(g, rng.uniform(0.0, 2.0, (ny, nx)))
+    w = ScalarField(g, rng.uniform(0.0, 2.0, (ny, nx)))
+    return g, phi, u, v, w
 
 
 class TestGeneratorStructure:
@@ -112,7 +109,7 @@ class TestGeneratorStructure:
         """1^T L = 0 exactly: the implicit step conserves each species'
         mass to roundoff no matter the field or velocity."""
         for seed in range(5):
-            g, phi, u, _ = random_setup(seed)
+            g, phi, u, _, _ = random_setup(seed)
             for sign in (CATION_SIGN, ANION_SIGN):
                 L = transport_generator(phi, u, sign)
                 s = np.asarray(L.T @ np.ones(g.nx * g.ny)).ravel()
@@ -121,7 +118,7 @@ class TestGeneratorStructure:
                 )
 
     def test_offdiagonals_nonnegative(self):
-        g, phi, u, _ = random_setup(9)
+        g, phi, u, _, _ = random_setup(9)
         L = transport_generator(phi, u, CATION_SIGN).tocoo()
         off = L.data[L.row != L.col]
         assert off.min() >= 0.0, f"negative off-diagonal {off.min()}"
@@ -141,25 +138,25 @@ class TestStepCharges:
     def test_mass_conserved_through_churn(self):
         """200 implicit steps under fresh random fields every step: machine
         conservation, no accumulation."""
-        g, phi, u, c = random_setup(33)
+        g, phi, u, v, w = random_setup(33)
         rng = np.random.default_rng(34)
-        m_v, m_w = integrate(c.v), integrate(c.w)
+        m_v, m_w = integrate(v), integrate(w)
         for _ in range(200):
             phi = ScalarField(g, rng.uniform(-1, 1, (g.ny, g.nx)))
-            c = step_charges(c, phi, u, 1e-2)
-        assert abs(integrate(c.v) - m_v) <= 1e-13 * m_v
-        assert abs(integrate(c.w) - m_w) <= 1e-13 * m_w
+            v, w = step_charges(v, w, phi, u, 1e-2)
+        assert abs(integrate(v) - m_v) <= 1e-13 * m_v
+        assert abs(integrate(w) - m_w) <= 1e-13 * m_w
 
     @pytest.mark.parametrize("dt", [1e-4, 1e-2, 1.0])
     def test_positivity_any_dt(self, dt):
         """The M-matrix structure gives positivity without a dt restriction;
         exercised with exact zeros in the initial data."""
-        g, phi, u, c = random_setup(55)
-        c.v.data[::3, ::4] = 0.0
-        c.w.data[1::5, ::3] = 0.0
-        out = step_charges(c, phi, u, dt)
-        assert out.v.data.min() >= 0.0, f"dt={dt}: min v {out.v.data.min()}"
-        assert out.w.data.min() >= 0.0, f"dt={dt}: min w {out.w.data.min()}"
+        g, phi, u, v, w = random_setup(55)
+        v.data[::3, ::4] = 0.0
+        w.data[1::5, ::3] = 0.0
+        out_v, out_w = step_charges(v, w, phi, u, dt)
+        assert out_v.data.min() >= 0.0, f"dt={dt}: min v {out_v.data.min()}"
+        assert out_w.data.min() >= 0.0, f"dt={dt}: min w {out_w.data.min()}"
 
     def test_maxwellian_is_invariant(self):
         """With u=0 the discrete Boltzmann profiles are exact steady states
@@ -170,9 +167,9 @@ class TestStepCharges:
         u = MacVectorField.zeros(g)
         v = ScalarField(g, np.exp(phi.data))
         w = ScalarField(g, np.exp(-phi.data))
-        out = step_charges(ChargePair(v, w), phi, u, 0.5)
-        dv = np.abs(out.v.data - v.data).max()
-        dw = np.abs(out.w.data - w.data).max()
+        out_v, out_w = step_charges(v, w, phi, u, 0.5)
+        dv = np.abs(out_v.data - v.data).max()
+        dw = np.abs(out_w.data - w.data).max()
         assert dv <= 1e-11, f"cation Maxwellian moved by {dv:.3e}"
         assert dw <= 1e-11, f"anion Maxwellian moved by {dw:.3e}"
 
@@ -184,16 +181,16 @@ class TestStepCharges:
         phi = ScalarField(g, 0.7 * np.sin(2 * np.pi * g.cell_centers()[0]))
         u = MacVectorField.zeros(g)
         v0 = ScalarField(g, rng.uniform(0.2, 1.8, (12, 16)))
-        c = ChargePair(v0, v0.copy())
+        v, w = v0, v0.copy()
         mass = integrate(v0)
         for _ in range(4):
-            c = step_charges(c, phi, u, 1e4)
+            v, w = step_charges(v, w, phi, u, 1e4)
         target_v = np.exp(phi.data)
         target_v *= mass / (g.vol * target_v.sum())
         target_w = np.exp(-phi.data)
         target_w *= mass / (g.vol * target_w.sum())
-        assert np.abs(c.v.data - target_v).max() <= 1e-8
-        assert np.abs(c.w.data - target_w).max() <= 1e-8
+        assert np.abs(v.data - target_v).max() <= 1e-8
+        assert np.abs(w.data - target_w).max() <= 1e-8
 
     def test_entropy_nonincreasing(self):
         """Relative entropy against the fixed-potential Maxwellian is a
@@ -204,20 +201,20 @@ class TestStepCharges:
         phi = ScalarField(g, 0.5 * np.cos(np.pi * g.cell_centers()[1]))
         u = MacVectorField.zeros(g)
         v = ScalarField(g, rng.uniform(0.05, 2.0, (20, 20)))
-        c = ChargePair(v, ScalarField(g, rng.uniform(0.05, 2.0, (20, 20))))
-        mass = integrate(c.v)
+        w = ScalarField(g, rng.uniform(0.05, 2.0, (20, 20)))
+        mass = integrate(v)
         ref = np.exp(phi.data)
         ref *= mass / (g.vol * ref.sum())
-        prev = g.vol * psi(c.v.data, ref).sum()
+        prev = g.vol * psi(v.data, ref).sum()
         for k in range(30):
-            c = step_charges(c, phi, u, 5e-3)
-            h = g.vol * psi(c.v.data, ref).sum()
+            v, w = step_charges(v, w, phi, u, 5e-3)
+            h = g.vol * psi(v.data, ref).sum()
             assert h <= prev + 1e-13 * (1 + abs(prev)), (
                 f"entropy rose at step {k}: {prev} -> {h}"
             )
             prev = h
 
     def test_dt_must_be_positive(self):
-        g, phi, u, c = random_setup(3)
+        g, phi, u, v, w = random_setup(3)
         with pytest.raises(ValueError):
-            step_charges(c, phi, u, 0.0)
+            step_charges(v, w, phi, u, 0.0)
