@@ -10,6 +10,10 @@ classical non-incremental projection:
     q    : Lap_N q = div u**                   Neumann Poisson solve
     u+   = u** - grad q,   p = q (zero mean)
 
+The implicit viscous step is solved by sine transforms: on this tensor grid
+each 1-D closure of Lap is diagonalized exactly by a real sine transform
+(DST-I or DST-II), so no matrix is assembled or factored.
+
 Gradients of cell scalars have zero boundary faces, so the correction never
 touches the walls and the projected field is discretely divergence free to
 solver precision. The stored pressure is the projection potential (the dt
@@ -21,15 +25,14 @@ form whose pairing with the velocity telescopes against the potential-energy
 bookkeeping in the diagnostics module.
 """
 
-from functools import lru_cache
-
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy import fft
+# benchmark/spans.py wraps fluid.splu to count viscous LUs; the step makes none.
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import NonConvergence, ZeroField
 from .grid import MacVectorField, grad_norm_sq, grad_to_faces, div_from_faces
-from .poisson import _lap1d, solve_neumann
+from .poisson import _DST_TYPE, _lap1d_eigenvalues, solve_neumann
 
 
 def body_force(v, w, phi):
@@ -45,35 +48,29 @@ def body_force(v, w, phi):
 
 
 # ---------------------------------------------------------------------------
-# viscous operators; only the latest (grid, dt) pair is kept, since a
-# CFL-limited run asks for a new dt on every step
+# implicit viscous solve by sine transforms
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _viscous_lu(grid, dt):
-    """LU factors of (I - dt Lap) for the two interior velocity components.
+def _viscous_solve(b, dt, hy, y_closure, hx, x_closure):
+    """Solve (I - dt Lap) x = b for one interior velocity component.
 
-    ux unknowns: (ny, nx-1) interior vertical faces. Along x the neighbors at
-    i = 0 and i = nx are boundary faces whose value 0 is known, so the 1-D
-    operator is the plain second difference. Along y the walls are half a
-    cell away; the mirror ghost closure (end diagonal -3/h^2) realizes the
-    zero tangential velocity there. uy is the transpose arrangement.
+    b has shape (ny', nx'), and Lap = Dyy (x) I + I (x) Dxx is built from the
+    1-D closures of poisson._lap1d. ux lives on (ny, nx-1) interior vertical
+    faces: along x its neighbors at i = 0 and i = nx are boundary faces whose
+    value 0 is known ("value"), and along y the walls are half a cell away,
+    where the mirror ghost realizes the zero tangential velocity
+    ("dirichlet"). uy is the transpose arrangement. Each closure is
+    diagonalized by an orthonormal sine transform, so the solve is a forward
+    transform on each axis, one divide by 1 - dt (lambda_y + lambda_x) and the
+    inverse transforms.
     """
-    dxx_val = _lap1d(grid.nx - 1, grid.hx, "value")
-    dyy_ghost = _lap1d(grid.ny, grid.hy, "dirichlet")
-    ax = sp.kron(dyy_ghost, sp.identity(grid.nx - 1)) + sp.kron(
-        sp.identity(grid.ny), dxx_val
-    )
-    dyy_val = _lap1d(grid.ny - 1, grid.hy, "value")
-    dxx_ghost = _lap1d(grid.nx, grid.hx, "dirichlet")
-    ay = sp.kron(dyy_val, sp.identity(grid.nx)) + sp.kron(
-        sp.identity(grid.ny - 1), dxx_ghost
-    )
-    nux = grid.ny * (grid.nx - 1)
-    nuy = (grid.ny - 1) * grid.nx
-    lux = splu((sp.identity(nux) - dt * ax).tocsc())
-    luy = splu((sp.identity(nuy) - dt * ay).tocsc())
-    return lux, luy
+    ty = _DST_TYPE[y_closure]
+    tx = _DST_TYPE[x_closure]
+    lam_y = _lap1d_eigenvalues(b.shape[0], hy, y_closure)
+    lam_x = _lap1d_eigenvalues(b.shape[1], hx, x_closure)
+    bh = fft.dst(fft.dst(b, type=ty, axis=0, norm="ortho"), type=tx, axis=1, norm="ortho")
+    bh /= 1.0 - dt * (lam_y[:, None] + lam_x[None, :])
+    return fft.idst(fft.idst(bh, type=tx, axis=1, norm="ortho"), type=ty, axis=0, norm="ortho")
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +132,8 @@ def step_velocity(u, f, dt, proj_tol=1e-10, div_tol=1e-8):
     star_x = u.ux[:, 1:-1] - dt * adv_x
     star_y = u.uy[1:-1, :] - dt * adv_y
 
-    lux, luy = _viscous_lu(g, float(dt))
-    visc_x = lux.solve(star_x.ravel()).reshape(star_x.shape)
-    visc_y = luy.solve(star_y.ravel()).reshape(star_y.shape)
+    visc_x = _viscous_solve(star_x, dt, g.hy, "dirichlet", g.hx, "value")
+    visc_y = _viscous_solve(star_y, dt, g.hy, "value", g.hx, "dirichlet")
 
     u2 = MacVectorField.zeros(g)
     u2.ux[:, 1:-1] = visc_x + dt * f.ux[:, 1:-1]

@@ -110,7 +110,7 @@ def solve_pb(M, N, grid, tol=_DEFAULT_TOL, max_iter=50, phi0=None):
         if k == max_iter:
             raise NonConvergence(k, res, "Poisson-Boltzmann Newton")
         Jmat = (A - sp.diags(dens_v + dens_w)).tocsc()
-        delta = splu(Jmat).solve(-R)
+        delta = splu(Jmat, permc_spec="MMD_AT_PLUS_A").solve(-R)
         J0 = J_of(phi)
         slope = -vol * float(R @ delta)
         # Near the minimum the decrease per step falls below the rounding

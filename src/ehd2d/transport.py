@@ -124,7 +124,7 @@ def transport_generator(phi, u, sign):
 def _implicit_solve(c, L, dt):
     n = c.size
     M = (sp.identity(n, format="csr") - dt * L).tocsc()
-    lu = splu(M)
+    lu = splu(M, permc_spec="MMD_AT_PLUS_A")
     b = c.ravel()
     x = lu.solve(b)
     res = np.linalg.norm(M @ x - b)

@@ -254,7 +254,8 @@ def _record_calls(monkeypatch, module, name):
 class TestHookContract:
     """The module-level names a profiler or benchmark wraps stay on the
     call path: run() advances through sim.step, solve_pb factors through
-    stationary.splu, and nothing else factors on the way."""
+    stationary.splu, nothing else factors on the way, and every name
+    benchmark/spans.py wraps resolves."""
 
     def test_run_calls_step_by_name_once_per_step(self, tmp_path, monkeypatch):
         from ehd2d import sim
@@ -273,16 +274,39 @@ class TestHookContract:
         assert len(newton) == s.iterations
         assert cached == []
 
-    def test_viscous_factorizations_not_retained_per_dt(self, tmp_path, monkeypatch):
-        """A CFL-limited run sets a new dt each step; the viscous cache
-        keeps only the latest pair instead of one pair per dt."""
+    def test_cfl_run_makes_no_viscous_factorization(self, tmp_path, monkeypatch):
+        """A CFL-limited run sets a new dt each step; the viscous step is a
+        transform solve, so no dt ever costs a factorization."""
         from ehd2d import fluid, sim
         calls = _record_calls(monkeypatch, sim, "step")
+        viscous = _record_calls(monkeypatch, fluid, "splu")
         cfg = small("vortex-charge", "initial.amplitude=20", "time.dt=0.05",
                     "time.t_max=2e-3", f"output.dir={tmp_path / 'out'}")
         run(cfg, write_outputs=False)
         assert len({args[1] for args in calls}) > 1, "test needs more than one distinct dt"
-        assert fluid._viscous_lu.cache_info().currsize <= 1
+        assert viscous == []
+
+    def test_benchmark_entry_points_resolve(self):
+        """Every name the benchmark's traced pass wraps exists and is
+        callable, and its per-layer metrics are the ones BENCHMARK.json
+        declares; a missing name would silently drop metrics from a run."""
+        import importlib
+        import importlib.util
+        import json
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "benchmark_spans", os.path.join(root, "benchmark", "spans.py"))
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        unresolved = [
+            f"{module}.{attr}" for module, attr, _ in spans.ENTRY_POINTS
+            if not callable(getattr(importlib.import_module(f"ehd2d.{module}"), attr, None))
+        ]
+        assert unresolved == []
+        with open(os.path.join(root, "BENCHMARK.json")) as fh:
+            declared = [m["name"] for m in json.load(fh)["per_layer"]]
+        assert sorted(spans.UNITS) == sorted(declared)
 
 
 class TestRun:
