@@ -29,6 +29,8 @@ Quadrature is the midpoint rule everywhere: integrate(f) = hx*hy*sum(f),
 exact for cellwise-linear integrands and second-order otherwise.
 """
 
+import warnings
+
 import numpy as np
 
 
@@ -287,4 +289,10 @@ def save_matrix(path, data):
 
 
 def load_matrix(path):
-    return np.loadtxt(path, ndmin=2)
+    """Read a matrix written by save_matrix; ValueError if the file holds no numbers."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, ndmin=2)
+    if data.size == 0:
+        raise ValueError(f"{path} holds no data")
+    return data

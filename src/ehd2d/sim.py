@@ -4,7 +4,8 @@ One step advances the full system state {u, p, v, w, phi, t} through the
 lagged splitting
 
     1. phi  <- carried by the state (the Poisson solve of its v - w)
-    2. v, w <- implicit Scharfetter-Gummel transport step (phi, u frozen)
+    2. v, w <- split backward-Euler Scharfetter-Gummel transport, an x sweep
+              then a y sweep (phi, u frozen)
     3. f    <- (v - w) grad phi on faces
     4. u, p <- projection step under f
     5. phi refreshed from the updated charges
@@ -18,7 +19,8 @@ run() drives a configured scenario to t_max with dt capped by the CFL
 limit, records an EnergyReport at t = 0 and every record_every-th step, and
 writes diagnostics.csv, snapshot matrices and the stationary solution the
 decay diagnostics compare against. Identical configurations produce
-byte-identical CSV output.
+byte-identical CSV output. A SolverError raised by a step keeps its class
+and names the step number, its start time t and its dt.
 
 Config files are plain INI-style sections of key = value lines (see
 DEFAULTS for the schema); unknown sections or keys are errors, and every
@@ -32,7 +34,7 @@ import warnings
 
 import numpy as np
 
-from .errors import CflViolation, ConfigError
+from .errors import CflViolation, ConfigError, SolverError
 from .grid import (
     Grid2D,
     MacVectorField,
@@ -464,9 +466,13 @@ def run(config, write_outputs=True):
         while state.t < end:
             dt = min(config.dt, cfl_limit(state, config.cfl_safety),
                      config.t_max - state.t)
-            state = step(state, dt, tol_poisson=config.tol_poisson,
-                         tol_projection=config.tol_projection,
-                         cfl_safety=config.cfl_safety)
+            try:
+                state = step(state, dt, tol_poisson=config.tol_poisson,
+                             tol_projection=config.tol_projection,
+                             cfl_safety=config.cfl_safety)
+            except SolverError as exc:
+                exc.args = (f"step {nstep + 1} (t = {state.t:.9g}, dt = {dt:.6g}): {exc}",)
+                raise
             nstep += 1
             done = state.t >= end
             if nstep % config.record_every == 0 or done:

@@ -14,20 +14,31 @@ to e^{phi} for s = -1, e^{-phi} for s = +1), so the scheme's steady states
 are the exact discrete Maxwellians rather than second-order approximations
 of them. Advection uses first-order upwinding.
 
-The step is backward Euler on the whole flux divergence: both the SG part
-and the upwind part are assembled into one sparse generator L with the
-potential and velocity frozen at the step's start. I - dt*L is then an
-M-matrix with unit column sums, which buys the two properties the package
+The step is split backward Euler (Lie/Yanenko fractional steps): with the
+potential and velocity frozen at the step's start, the flux divergence is
+split as L = L_x + L_y by face orientation, and each species takes an x
+sweep (I - dt L_x) c* = c and then a y sweep (I - dt L_y) c' = c*. Every
+sweep matrix is tridiagonal along grid lines and is an M-matrix with unit
+column sums, so each sweep by itself keeps the properties the package
 checks hardest:
 
-* positivity for every dt (the inverse of an M-matrix is nonnegative), and
-* exact mass conservation (column sums of L are zero, so 1^T c is invariant
-  under the solve, not just up to truncation error).
+* positivity for every dt (the inverse of an M-matrix is nonnegative),
+* exact mass conservation (column sums of L_x and L_y are zero, so 1^T c
+  is invariant under each solve up to rounding, not truncation error; the
+  rounding of a direct solve grows like eps * dt * ||L||), and
+* the discrete Maxwellian as a fixed point (its SG flux vanishes on every
+  face, so L_x and L_y annihilate it separately).
+
+The splitting error is O(dt), the same order as the lag of the potential.
+All lines of one direction are solved by one banded (tridiagonal) solve,
+so a step makes no sparse factorization.
 """
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import solve_banded
+# benchmark/spans.py wraps transport.splu to count transport LUs; the step makes none.
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import NonConvergence
 from .grid import ScalarField
@@ -67,71 +78,74 @@ def sg_face_flux(cL, cR, dpsi, h, sign):
     return (bernoulli(sign * dpsi) * cL - bernoulli(-sign * dpsi) * cR) / h
 
 
+def _sweep_bands(phi, u, sign, direction):
+    """Generator L_x or L_y of the fluxes across the faces of one orientation.
+
+    Returns the bands (upper, lower) with one grid line per row: the rows of
+    the grid for direction "x", its columns (transposed arrays) for "y".
+    Within a line, upper[:, i] = L[i-1, i] and lower[:, i] = L[i+1, i]; the
+    diagonal is -(upper + lower), so every column sums to zero. The line
+    ends carry zeros, which is the discrete no-flux condition.
+    """
+    g = phi.grid
+    if direction == "x":
+        ph, uf, h = phi.data, u.ux[:, 1:-1], g.hx
+    else:
+        ph, uf, h = phi.data.T, u.uy[1:-1, :].T, g.hy
+    dpsi = np.diff(ph, axis=1)
+    # a multiplies cL, b multiplies cR in the face flux F = a cL - b cR
+    a = bernoulli(sign * dpsi) / h + np.maximum(uf, 0.0)
+    b = bernoulli(-sign * dpsi) / h + np.maximum(-uf, 0.0)
+    upper = np.zeros(ph.shape)
+    lower = np.zeros(ph.shape)
+    upper[:, 1:] = b / h
+    lower[:, :-1] = a / h
+    return upper, lower
+
+
 def transport_generator(phi, u, sign):
-    """Sparse generator L with (L c) = -div(F_sg + F_upwind) per cell.
+    """Sparse generator L = L_x + L_y with (L c) = -div(F_sg + F_upwind) per cell.
 
     Interior faces only; boundary faces carry no entries, which is the
     discrete no-flux condition. Off-diagonals are nonnegative and every
     column sums to zero.
     """
     g = phi.grid
-    nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
-    n = nx * ny
-    ph = phi.data
-    idx = np.arange(n).reshape(ny, nx)
-
-    rows = []
-    cols = []
-    vals = []
-
-    def add_faces(kL, kR, dpsi, uf, h):
-        # a multiplies cL, b multiplies cR in F = a cL - b cR
-        a = bernoulli(sign * dpsi) / h + np.maximum(uf, 0.0)
-        b = bernoulli(-sign * dpsi) / h + np.maximum(-uf, 0.0)
-        rows.append(kL)
-        cols.append(kL)
-        vals.append(-a / h)
-        rows.append(kL)
-        cols.append(kR)
-        vals.append(b / h)
-        rows.append(kR)
-        cols.append(kL)
-        vals.append(a / h)
-        rows.append(kR)
-        cols.append(kR)
-        vals.append(-b / h)
-
-    # vertical faces between (j, i-1) and (j, i)
-    kL = idx[:, :-1].ravel()
-    kR = idx[:, 1:].ravel()
-    dpsi = (ph[:, 1:] - ph[:, :-1]).ravel()
-    uf = u.ux[:, 1:-1].ravel()
-    add_faces(kL, kR, dpsi, uf, hx)
-
-    # horizontal faces between (j-1, i) and (j, i)
-    kS = idx[:-1, :].ravel()
-    kN = idx[1:, :].ravel()
-    dpsi = (ph[1:, :] - ph[:-1, :]).ravel()
-    uf = u.uy[1:-1, :].ravel()
-    add_faces(kS, kN, dpsi, uf, hy)
-
+    n = g.nx * g.ny
+    idx = np.arange(n).reshape(g.ny, g.nx)
+    rows, cols, vals = [], [], []
+    for direction, lines in (("x", idx), ("y", idx.T)):
+        upper, lower = _sweep_bands(phi, u, sign, direction)
+        rows += [a.ravel() for a in (lines[:, :-1], lines, lines[:, 1:])]
+        cols += [a.ravel() for a in (lines[:, 1:], lines, lines[:, :-1])]
+        vals += [a.ravel() for a in (upper[:, 1:], -(upper + lower), lower[:, :-1])]
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsr()
 
 
-def _implicit_solve(c, L, dt):
-    n = c.size
-    M = (sp.identity(n, format="csr") - dt * L).tocsc()
-    lu = splu(M, permc_spec="MMD_AT_PLUS_A")
+def _sweep(c, upper, lower, dt):
+    """Solve (I - dt L) x = c on every line at once; one line per row of c.
+
+    The bands come from _sweep_bands. Zeros at the line ends decouple the
+    lines, so the flattened lines make one tridiagonal system.
+    """
+    ab = np.empty((3, c.size))
+    ab[0] = -dt * upper.ravel()
+    ab[2] = -dt * lower.ravel()
+    ab[1] = 1.0 - ab[0] - ab[2]
     b = c.ravel()
-    x = lu.solve(b)
-    res = np.linalg.norm(M @ x - b)
+    # non-finite input ends in the residual check below, as a NonConvergence
+    x = solve_banded((1, 1), ab, b, check_finite=False)
+    r = ab[1] * x - b
+    r[:-1] += ab[0, 1:] * x[1:]
+    r[1:] += ab[2, :-1] * x[:-1]
+    res = np.linalg.norm(r)
     if not np.isfinite(res) or res > 1e-8 * (1.0 + np.linalg.norm(b)):
         raise NonConvergence(1, float(res), "charge transport solve")
     # M-matrix structure makes the exact solution nonnegative; wipe the
-    # factorization dust so downstream logs never see -1e-22.
+    # rounding dust so downstream logs never see -1e-22.
     floor = -1e-12 * (1.0 + float(np.abs(x).max()))
     if x.min() < floor:
         raise NonConvergence(1, float(x.min()), "charge positivity")
@@ -140,15 +154,15 @@ def _implicit_solve(c, L, dt):
 
 
 def step_charges(v, w, phi, u, dt):
-    """One backward-Euler transport step for both species, potential lagged.
+    """One split backward-Euler transport step for both species, potential lagged.
 
-    Returns the new (v, w).
+    Each species takes an x sweep and then a y sweep. Returns the new (v, w).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    g = v.grid
-    Lv = transport_generator(phi, u, CATION_SIGN)
-    Lw = transport_generator(phi, u, ANION_SIGN)
-    v_new = _implicit_solve(v.data, Lv, dt)
-    w_new = _implicit_solve(w.data, Lw, dt)
-    return ScalarField(g, v_new), ScalarField(g, w_new)
+    out = []
+    for c, sign in ((v, CATION_SIGN), (w, ANION_SIGN)):
+        cx = _sweep(c.data, *_sweep_bands(phi, u, sign, "x"), dt)
+        cy = _sweep(cx.T, *_sweep_bands(phi, u, sign, "y"), dt).T
+        out.append(ScalarField(v.grid, cy))
+    return tuple(out)

@@ -5,6 +5,7 @@ error mapping, and printing as a shell user, without spawning processes.
 """
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -33,15 +34,21 @@ class TestExitCodes:
 
     def test_bad_charge_file_is_one_line_config_error(self, tmp_path, capsys):
         vp, wp = str(tmp_path / "v.txt"), str(tmp_path / "w.txt")
+        empty = str(tmp_path / "empty.txt")
         save_matrix(vp, np.ones((3, 5)))
         save_matrix(wp, np.ones((8, 8)))
-        code = cli.main(["run", "--set", "grid.nx=8", "--set", "grid.ny=8",
-                         "--set", f"initial.v_file={vp}",
-                         "--set", f"initial.w_file={wp}",
-                         "--out", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error:"), err
+        open(empty, "w").close()
+        for v_file, w_file in ((vp, wp), (empty, wp), (wp, empty)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(["run", "--set", "grid.nx=8", "--set", "grid.ny=8",
+                                 "--set", f"initial.v_file={v_file}",
+                                 "--set", f"initial.w_file={w_file}",
+                                 "--out", str(tmp_path / "out")])
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error:"), err
+            assert [str(w.message) for w in caught] == []
 
     def test_unknown_key_maps_to_one(self, capsys):
         assert cli.main(["run", "--set", "grid.bogus=3"]) == 1
@@ -53,6 +60,27 @@ class TestExitCodes:
                          "--out", str(tmp_path / "s")])
         assert code == 2
         assert "solver error" in capsys.readouterr().err
+
+    def test_solver_error_in_run_names_step(self, tmp_path, capsys, monkeypatch):
+        from ehd2d import sim
+        from ehd2d.errors import NonConvergence
+        calls = []
+        inner = sim.step_charges
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise NonConvergence(1, -1.0e-9, "charge positivity")
+            return inner(*args)
+
+        monkeypatch.setattr(sim, "step_charges", failing)
+        code = cli.main(["run", "--preset", "relax-small-mass", *FAST,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["solver error: step 3 (t = 0.002, dt = 0.001): charge "
+                       "positivity did not converge after 1 iterations "
+                       "(residual -1.000e-09)"]
 
 
 class TestPresetsCommand:

@@ -20,7 +20,7 @@ from ehd2d import (
     solve_pb,
 )
 from ehd2d.diagnostics import csv_header
-from ehd2d.errors import CflViolation, ConfigError
+from ehd2d.errors import CflViolation, ConfigError, NonConvergence
 from ehd2d.sim import (
     DEFAULTS,
     build_initial_state,
@@ -286,6 +286,18 @@ class TestHookContract:
         assert len({args[1] for args in calls}) > 1, "test needs more than one distinct dt"
         assert viscous == []
 
+    def test_cfl_run_makes_no_transport_factorization(self, tmp_path, monkeypatch):
+        """The charge step solves tridiagonal sweeps; no step, whatever its
+        dt, factors a transport matrix."""
+        from ehd2d import sim, transport
+        calls = _record_calls(monkeypatch, sim, "step")
+        lu = _record_calls(monkeypatch, transport, "splu")
+        cfg = small("vortex-charge", "initial.amplitude=20", "time.dt=0.05",
+                    "time.t_max=2e-3", f"output.dir={tmp_path / 'out'}")
+        run(cfg, write_outputs=False)
+        assert len({args[1] for args in calls}) > 1, "test needs more than one distinct dt"
+        assert lu == []
+
     def test_benchmark_entry_points_resolve(self):
         """Every name the benchmark's traced pass wraps exists and is
         callable, and its per-layer metrics are the ones BENCHMARK.json
@@ -310,6 +322,27 @@ class TestHookContract:
 
 
 class TestRun:
+    def test_solver_error_names_step_t_and_dt(self, monkeypatch):
+        """A solver failure inside run() keeps its class and says at which
+        step, time and dt it happened."""
+        from ehd2d import sim
+        calls = []
+        inner = sim.step_charges
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise NonConvergence(1, 2.5e-3, "charge transport solve")
+            return inner(*args)
+
+        monkeypatch.setattr(sim, "step_charges", failing)
+        with pytest.raises(NonConvergence) as info:
+            run(small("relax-small-mass"), write_outputs=False)
+        assert str(info.value) == (
+            "step 3 (t = 0.002, dt = 0.001): charge transport solve did not "
+            "converge after 1 iterations (residual 2.500e-03)"
+        )
+
     def test_zero_horizon_records_nothing(self, tmp_path):
         cfg = small("symmetric-null", "time.t_max=0.0",
                     f"output.dir={tmp_path / 'out'}")

@@ -3,24 +3,31 @@
 The two load-bearing properties are flux exactness on discrete Boltzmann
 profiles (which freezes the equilibrium exactly) and the sign structure of
 the implicit generator (zero column sums give exact mass conservation,
-nonnegative off-diagonals give unconditional positivity).
+nonnegative off-diagonals give unconditional positivity). The step solves
+one tridiagonal sweep per direction; the sweeps are checked against the
+generator they split and against a sparse LU of their own matrices.
 """
 
 import numpy as np
 import pytest
 
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.sparse.linalg import splu
 
 from ehd2d import (
     Grid2D,
     MacVectorField,
     ScalarField,
     bernoulli,
+    div_from_faces,
     integrate,
     sg_face_flux,
     step_charges,
     transport_generator,
 )
+from ehd2d import transport
 from ehd2d.transport import ANION_SIGN, CATION_SIGN
 
 
@@ -218,3 +225,144 @@ class TestStepCharges:
         g, phi, u, v, w = random_setup(3)
         with pytest.raises(ValueError):
             step_charges(v, w, phi, u, 0.0)
+
+
+def line_matrix(upper, lower):
+    """Tridiagonal generator of one sweep on its line layout (lines flattened)."""
+    return sp.diags(
+        [upper.ravel()[1:], -(upper + lower).ravel(), lower.ravel()[:-1]], [1, 0, -1]
+    ).tocsr()
+
+
+def natural_order(T, lines):
+    """Move a line-layout matrix to the grid's cell order; lines[k, i] is the
+    cell index of point i of line k."""
+    T = T.tocoo()
+    perm = lines.ravel()
+    n = perm.size
+    return sp.csr_matrix((T.data, (perm[T.row], perm[T.col])), shape=(n, n))
+
+
+SWEEP_GRIDS = [(7, 5, 1.3, 0.7), (3, 11, 0.4, 2.5), (12, 9, 2.0, 1.1)]
+
+
+def sweep_setups():
+    for k, (nx, ny, lx, ly) in enumerate(SWEEP_GRIDS):
+        g = Grid2D(nx, ny, lx, ly)
+        rng = np.random.default_rng(100 + k)
+        phi = ScalarField(g, rng.uniform(-4.0, 4.0, (ny, nx)))
+        u = MacVectorField.zeros(g)
+        u.ux[:, 1:-1] = rng.uniform(-5, 5, (ny, nx - 1))
+        u.uy[1:-1, :] = rng.uniform(-5, 5, (ny - 1, nx))
+        idx = np.arange(nx * ny).reshape(ny, nx)
+        for sign in (CATION_SIGN, ANION_SIGN):
+            yield g, phi, u, sign, {"x": idx, "y": idx.T}
+
+
+class TestSweeps:
+    def test_sweeps_sum_to_generator(self):
+        """L_x + L_y is the unsplit generator, entry for entry: the sweeps
+        and transport_generator share one set of face weights."""
+        for g, phi, u, sign, lines in sweep_setups():
+            parts = [
+                natural_order(line_matrix(*transport._sweep_bands(phi, u, sign, d)), lines[d])
+                for d in ("x", "y")
+            ]
+            L = transport_generator(phi, u, sign)
+            assert (parts[0] + parts[1] != L).nnz == 0, f"grid {g.nx}x{g.ny} sign {sign}"
+
+    def test_sweep_generators_conservative_with_nonnegative_couplings(self):
+        for g, phi, u, sign, lines in sweep_setups():
+            for d in ("x", "y"):
+                upper, lower = transport._sweep_bands(phi, u, sign, d)
+                T = line_matrix(upper, lower)
+                colsum = np.asarray(T.sum(axis=0)).ravel()
+                scale = np.abs(T).max()
+                assert np.abs(colsum).max() <= 1e-14 * scale, (
+                    f"{d} sweep: column sum {np.abs(colsum).max():.3e}")
+                off = T - sp.diags(T.diagonal())
+                assert off.min() >= 0.0, f"{d} sweep: negative coupling {off.min()}"
+                # line ends carry no coupling to the next line
+                assert np.all(upper[:, 0] == 0.0) and np.all(lower[:, -1] == 0.0)
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+    def test_sweep_matches_reference_lu(self, dt):
+        """The banded solve agrees with a sparse LU of M = I - dt L on the
+        same lines, for both directions and across eight decades of dt.
+
+        M^{-1} is nonnegative with unit column sums, so ||M^{-1}||_1 = 1 and
+        cond_1(M) = ||M||_1. Two backward-stable solvers may differ by about
+        eps * cond_1(M); the bound is 1e-12 until that exceeds it (here from
+        dt = 1e2 on, up to 4e-9 at dt = 1e4)."""
+        rng = np.random.default_rng(int(np.log10(dt)) + 10)
+        for g, phi, u, sign, _ in sweep_setups():
+            for d in ("x", "y"):
+                upper, lower = transport._sweep_bands(phi, u, sign, d)
+                c = rng.uniform(0.0, 3.0, upper.shape)
+                got = transport._sweep(c, upper, lower, dt)
+                M = (sp.identity(c.size) - dt * line_matrix(upper, lower)).tocsc()
+                ref = splu(M).solve(c.ravel()).reshape(c.shape)
+                err = np.abs(got - ref).max() / np.abs(ref).max()
+                tol = max(1e-12, np.finfo(float).eps * abs(M).sum(axis=0).max())
+                assert err <= tol, f"{d} sweep, dt={dt}: relative error {err:.3e} > {tol:.1e}"
+
+
+def stream_velocity(g, xi_interior):
+    """Divergence-free face velocity from corner-node stream-function values;
+    the wall nodes are zero, so the boundary faces are exactly no-flow."""
+    xi = np.zeros((g.ny + 1, g.nx + 1))
+    xi[1:-1, 1:-1] = xi_interior
+    return MacVectorField(g, np.diff(xi, axis=0) / g.hy, -np.diff(xi, axis=1) / g.hx)
+
+
+@st.composite
+def transport_cases(draw):
+    nx, ny = draw(st.integers(3, 10)), draw(st.integers(3, 10))
+    lx, ly = draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))
+    g = Grid2D(nx, ny, lx, ly)
+    # exact zeros next to values five decades apart: jumps in the data
+    density = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(10.0, 100.0))
+    v = draw(hnp.arrays(float, (ny, nx), elements=density))
+    w = draw(hnp.arrays(float, (ny, nx), elements=density))
+    phi = draw(hnp.arrays(float, (ny, nx), elements=st.floats(-3.0, 3.0)))
+    xi = draw(hnp.arrays(float, (ny - 1, nx - 1), elements=st.floats(-2.0, 2.0)))
+    dt = 10.0 ** draw(st.integers(-5, 0)) * draw(st.floats(1.0, 9.0))
+    return (g, ScalarField(g, v), ScalarField(g, w), ScalarField(g, phi),
+            stream_velocity(g, xi), dt)
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=80, deadline=None,
+                             database=None)
+
+
+class TestStepProperties:
+    """One step on rough data: nonnegative densities with exact zeros and
+    jumps, random divergence-free velocities, dt over six decades.
+
+    dt stops at 9: a direct solve of I - dt L rounds at about
+    eps * dt * ||L||, which on these grids passes 1e-12 of the mass from
+    dt ~ 1e2 on (the unsplit LU did the same); the sweep test above covers
+    larger dt with a condition-scaled bound."""
+
+    @PROPERTY_SETTINGS
+    @given(transport_cases())
+    def test_mass_exact_and_densities_nonnegative(self, case):
+        g, v, w, phi, u, dt = case
+        assert np.abs(div_from_faces(u).data).max() <= 1e-12 * (1.0 + u.max_speed() / min(g.hx, g.hy))
+        out_v, out_w = step_charges(v, w, phi, u, dt)
+        for before, after in ((v, out_v), (w, out_w)):
+            m0, m1 = integrate(before), integrate(after)
+            assert abs(m1 - m0) <= 1e-12 * m0, f"mass {m0!r} -> {m1!r}"
+            assert after.data.min() >= 0.0
+
+    @PROPERTY_SETTINGS
+    @given(transport_cases())
+    def test_maxwellian_fixed(self, case):
+        g, _, _, phi, _, dt = case
+        u = MacVectorField.zeros(g)
+        v = ScalarField(g, np.exp(phi.data))
+        w = ScalarField(g, np.exp(-phi.data))
+        out_v, out_w = step_charges(v, w, phi, u, dt)
+        for before, after in ((v, out_v), (w, out_w)):
+            err = np.abs(after.data - before.data).max() / before.data.max()
+            assert err <= 1e-12, f"dt={dt}: Maxwellian moved by {err:.3e}"
