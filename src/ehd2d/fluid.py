@@ -10,9 +10,12 @@ classical non-incremental projection:
     q    : Lap_N q = div u**                   Neumann Poisson solve
     u+   = u** - grad q,   p = q (zero mean)
 
-The implicit viscous step is solved by sine transforms: on this tensor grid
-each 1-D closure of Lap is diagonalized exactly by a real sine transform
-(DST-I or DST-II), so no matrix is assembled or factored.
+The implicit viscous step is solved by poisson.transform_solve with shift
+1/dt. ux lives on the (ny, nx-1) interior vertical faces: along x its
+neighbors are the boundary faces, held at zero ("value"), and along y the
+walls are half a cell away, where the mirror ghost realizes the zero
+tangential velocity ("dirichlet"); uy is the transpose arrangement. No
+matrix is assembled or factored.
 
 Gradients of cell scalars have zero boundary faces, so the correction never
 touches the walls and the projected field is discretely divergence free to
@@ -26,13 +29,12 @@ bookkeeping in the diagnostics module.
 """
 
 import numpy as np
-from scipy import fft
 # benchmark/spans.py wraps fluid.splu to count viscous LUs; the step makes none.
 from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import NonConvergence, ZeroField
 from .grid import MacVectorField, grad_norm_sq, grad_to_faces, div_from_faces
-from .poisson import _DST_TYPE, _lap1d_eigenvalues, solve_neumann
+from .poisson import solve_neumann, transform_solve
 
 
 def body_force(v, w, phi):
@@ -45,32 +47,6 @@ def body_force(v, w, phi):
     fx[:, 1:-1] = 0.5 * (rho[:, :-1] + rho[:, 1:]) * (ph[:, 1:] - ph[:, :-1]) / g.hx
     fy[1:-1, :] = 0.5 * (rho[:-1, :] + rho[1:, :]) * (ph[1:, :] - ph[:-1, :]) / g.hy
     return MacVectorField(g, fx, fy)
-
-
-# ---------------------------------------------------------------------------
-# implicit viscous solve by sine transforms
-# ---------------------------------------------------------------------------
-
-def _viscous_solve(b, dt, hy, y_closure, hx, x_closure):
-    """Solve (I - dt Lap) x = b for one interior velocity component.
-
-    b has shape (ny', nx'), and Lap = Dyy (x) I + I (x) Dxx is built from the
-    1-D closures of poisson._lap1d. ux lives on (ny, nx-1) interior vertical
-    faces: along x its neighbors at i = 0 and i = nx are boundary faces whose
-    value 0 is known ("value"), and along y the walls are half a cell away,
-    where the mirror ghost realizes the zero tangential velocity
-    ("dirichlet"). uy is the transpose arrangement. Each closure is
-    diagonalized by an orthonormal sine transform, so the solve is a forward
-    transform on each axis, one divide by 1 - dt (lambda_y + lambda_x) and the
-    inverse transforms.
-    """
-    ty = _DST_TYPE[y_closure]
-    tx = _DST_TYPE[x_closure]
-    lam_y = _lap1d_eigenvalues(b.shape[0], hy, y_closure)
-    lam_x = _lap1d_eigenvalues(b.shape[1], hx, x_closure)
-    bh = fft.dst(fft.dst(b, type=ty, axis=0, norm="ortho"), type=tx, axis=1, norm="ortho")
-    bh /= 1.0 - dt * (lam_y[:, None] + lam_x[None, :])
-    return fft.idst(fft.idst(bh, type=tx, axis=1, norm="ortho"), type=ty, axis=0, norm="ortho")
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +108,9 @@ def step_velocity(u, f, dt, proj_tol=1e-10, div_tol=1e-8):
     star_x = u.ux[:, 1:-1] - dt * adv_x
     star_y = u.uy[1:-1, :] - dt * adv_y
 
-    visc_x = _viscous_solve(star_x, dt, g.hy, "dirichlet", g.hx, "value")
-    visc_y = _viscous_solve(star_y, dt, g.hy, "value", g.hx, "dirichlet")
+    # (I - dt Lap) u** = u*, as (Lap - 1/dt) u** = -u*/dt
+    visc_x = transform_solve(-star_x / dt, ("dirichlet", "value"), (g.hy, g.hx), 1.0 / dt)
+    visc_y = transform_solve(-star_y / dt, ("value", "dirichlet"), (g.hy, g.hx), 1.0 / dt)
 
     u2 = MacVectorField.zeros(g)
     u2.ux[:, 1:-1] = visc_x + dt * f.ux[:, 1:-1]

@@ -1,80 +1,119 @@
-"""Five-point Laplacian solves on the MAC grid.
+"""Five-point Laplacian solves on the MAC grid, by trigonometric transforms.
 
-Two boundary treatments are needed by the rest of the package:
+Each axis of an array carries one of three homogeneous closures, named by
+the ghost value just outside the wall as a multiple of the interior cell
+next to it (_GHOST_SIGN):
 
-* homogeneous Dirichlet (electrostatic potential): ghost cell = -interior
-  cell, so the implied boundary value sits on the wall face itself. The
-  operator is symmetric negative definite.
-* homogeneous Neumann (pressure projection): zero normal differences at the
-  walls. The operator is singular with a constant nullspace; solutions are
-  returned with zero mean and the right-hand side must have zero integral.
+* "dirichlet", ghost = -interior: the implied zero sits on the wall face
+  itself (electrostatic potential; tangential velocity at a no-slip wall).
+* "neumann", ghost = interior: zero normal differences at the walls
+  (pressure projection). Singular, with a constant nullspace.
+* "value", ghost = 0: the unknowns are flanked by known zeros (normal
+  velocity on the faces next to a wall).
 
-Both solves use a sparse LU factorization cached per grid in this module
-(grids stay at or below a few hundred squared, where the factorization is
-milliseconds and the back-substitutions are essentially free); callers that
-only need the operator take laplacian_matrix instead. Every sparse LU in the
-package orders its columns by minimum degree on A^T + A (MMD_AT_PLUS_A),
-which suits these structurally symmetric operators and cuts their fill.
+On a tensor grid each 1-D closure is diagonalized exactly by a real
+orthonormal transform (_TRANSFORM: DST-II, DST-I, DCT-II; Lynch, Rice &
+Thomas, Numer. Math. 6, 1964; Swarztrauber, SIAM Rev. 19, 1977), so
+transform_solve solves (Lap - shift) x = b with a forward transform per
+axis, one divide by the summed 1-D spectra and the inverse transforms; no
+matrix is assembled or factored. The Dirichlet potential and the Neumann
+projection are solved with shift 0, the viscous step of the fluid module
+with shift 1/dt. With two Neumann axes and shift 0 the constant mode is set
+to zero, which returns the zero-mean solution directly; the right-hand
+side must then have zero integral.
 
-The "dirichlet" and "value" closures of _lap1d are also diagonalized
-exactly by real sine transforms; _lap1d_eigenvalues lists their spectra,
-with which the fluid module solves its viscous step directly.
-
-Residuals are measured in the grid L2 norm sqrt(hx*hy*sum(r^2)) against
+solve_dirichlet and solve_neumann check the residual of every solve with
+the matrix-free stencil in the grid L2 norm sqrt(hx*hy*sum(r^2)) against
 tol * (1 + |rhs|), so tolerances mean the same thing on every mesh.
+laplacian_matrix assembles the same operator for the Newton solve of the
+stationary module and for the diagnostics.
 """
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy import fft
+# benchmark/spans.py wraps poisson.splu to count Poisson LUs; the solves make none.
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import Incompatible, NonConvergence
 from .grid import ScalarField, integrate
 
 _DEFAULT_TOL = 1e-10
 
+# ghost cell beyond the wall = sign * interior cell next to it
+_GHOST_SIGN = {"dirichlet": -1.0, "neumann": 1.0, "value": 0.0}
+
+# closure -> (forward, inverse, type) of the orthonormal transform diagonalizing it
+_TRANSFORM = {
+    "dirichlet": (fft.dst, fft.idst, 2),
+    "value": (fft.dst, fft.idst, 1),
+    "neumann": (fft.dct, fft.idct, 2),
+}
+
 
 def _lap1d(n, h, boundary):
     """Second-difference matrix (1/h^2) tridiag(1, -2, 1) with boundary closure.
 
-    boundary "dirichlet": ghost = -interior, end diagonals -3/h^2.
-    boundary "neumann":   ghost =  interior, end diagonals -1/h^2.
-    boundary "value":     unknowns flanked by known zeros, plain -2/h^2 ends.
+    The end diagonals are -2 + _GHOST_SIGN[boundary]: -3 for "dirichlet",
+    -1 for "neumann", -2 for "value".
     """
     main = np.full(n, -2.0)
-    if boundary == "dirichlet":
-        main[0] = main[-1] = -3.0
-    elif boundary == "neumann":
-        main[0] = main[-1] = -1.0
-    elif boundary == "value":
-        pass
-    else:
-        raise ValueError(boundary)
+    main[[0, -1]] += _GHOST_SIGN[boundary]
     off = np.ones(n - 1)
     return sp.diags([off, main, off], [-1, 0, 1], format="csr") / (h * h)
 
 
 def _lap1d_eigenvalues(n, h, boundary):
-    """Eigenvalues -(4/h^2) sin^2(theta_k) of _lap1d for the sine closures.
+    """Eigenvalues -(4/h^2) sin^2(theta_k) of _lap1d.
 
-    They are listed in the mode order of the orthonormal sine transform that
-    diagonalizes the closure, scipy.fft.dst of type _DST_TYPE[boundary]
-    (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
+    They are listed in the mode order of the transform _TRANSFORM[boundary]:
 
     boundary "dirichlet": DST-II, theta_k = k pi / (2n),      k = 1..n.
     boundary "value":     DST-I,  theta_k = k pi / (2(n+1)),  k = 1..n.
+    boundary "neumann":   DCT-II, theta_k = k pi / (2n),      k = 0..n-1.
     """
-    if boundary == "dirichlet":
-        m = n
-    elif boundary == "value":
-        m = n + 1
-    else:
-        raise ValueError(boundary)
-    theta = np.arange(1, n + 1) * (np.pi / (2 * m))
-    return -4.0 / (h * h) * np.sin(theta) ** 2
+    k = np.arange(n) + (boundary != "neumann")
+    m = n + 1 if boundary == "value" else n
+    return -4.0 / (h * h) * np.sin(k * (np.pi / (2 * m))) ** 2
 
 
-_DST_TYPE = {"dirichlet": 2, "value": 1}
+def transform_solve(b, closures, spacings, shift=0.0):
+    """Solve (Lap - shift) x = b for an array b, one closure per axis.
+
+    closures and spacings list the closure and the mesh width of each axis
+    of b in order. shift >= 0; with shift 0 and every axis "neumann" the
+    constant mode of x is set to zero (zero-mean x for compatible b).
+    """
+    xh = b
+    lam = -shift
+    for axis, (closure, h) in enumerate(zip(closures, spacings)):
+        forward, _, kind = _TRANSFORM[closure]
+        xh = forward(xh, type=kind, axis=axis, norm="ortho")
+        shape = [1] * b.ndim
+        shape[axis] = b.shape[axis]
+        lam = lam + _lap1d_eigenvalues(b.shape[axis], h, closure).reshape(shape)
+    singular = shift == 0.0 and all(c == "neumann" for c in closures)
+    if singular:
+        lam = lam.copy()
+        lam.flat[0] = 1.0
+    xh /= lam
+    if singular:
+        xh.flat[0] = 0.0
+    for axis in reversed(range(b.ndim)):
+        _, inverse, kind = _TRANSFORM[closures[axis]]
+        xh = inverse(xh, type=kind, axis=axis, norm="ortho")
+    return xh
+
+
+def _stencil(x, grid, boundary):
+    """Five-point Lap_h x on a cell array, with ghost = sign * interior."""
+    s = _GHOST_SIGN[boundary]
+    xp = np.pad(x, 1)
+    xp[0, 1:-1], xp[-1, 1:-1] = s * x[0], s * x[-1]
+    xp[1:-1, 0], xp[1:-1, -1] = s * x[:, 0], s * x[:, -1]
+    c = 2.0 * x
+    return ((xp[:-2, 1:-1] - c + xp[2:, 1:-1]) / (grid.hy * grid.hy)
+            + (xp[1:-1, :-2] - c + xp[1:-1, 2:]) / (grid.hx * grid.hx))
 
 
 def laplacian_matrix(grid, boundary="dirichlet"):
@@ -86,58 +125,38 @@ def laplacian_matrix(grid, boundary="dirichlet"):
     return (sp.kron(dyy, ix) + sp.kron(iy, dxx)).tocsr()
 
 
-_dirichlet_cache = {}
-_neumann_cache = {}
-
-
-def _dirichlet_ops(grid):
-    key = grid.key()
-    if key not in _dirichlet_cache:
-        A = laplacian_matrix(grid, "dirichlet")
-        _dirichlet_cache[key] = (A, splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A"))
-    return _dirichlet_cache[key]
-
-
-def _neumann_ops(grid):
-    key = grid.key()
-    if key not in _neumann_cache:
-        A = laplacian_matrix(grid, "neumann")
-        # Pin one cell to lift the constant nullspace. For compatible data
-        # (zero integral) the pinned equation is implied by the others, so
-        # the direct solve is exact; the mean is removed afterwards.
-        Ap = A.tolil(copy=True)
-        Ap[0, :] = 0.0
-        Ap[0, 0] = 1.0
-        _neumann_cache[key] = (A, splu(Ap.tocsr().tocsc(), permc_spec="MMD_AT_PLUS_A"))
-    return _neumann_cache[key]
-
-
 def apply_dirichlet_laplacian(f):
     """Check helper: Lap_h f with the ghost = -interior closure."""
-    A, _ = _dirichlet_ops(f.grid)
-    return ScalarField(f.grid, (A @ f.data.ravel()).reshape(f.data.shape))
+    return ScalarField(f.grid, _stencil(f.data, f.grid, "dirichlet"))
 
 
 def _grid_l2(grid, r):
-    return float(np.sqrt(grid.vol * (r @ r)))
+    return float(np.sqrt(grid.vol * np.vdot(r, r)))
+
+
+def _solve(rhs, boundary, tol, scale, what):
+    """Transform solve of Lap_h x = rhs with its residual check."""
+    grid = rhs.grid
+    b = rhs.data
+    x = transform_solve(b, (boundary, boundary), (grid.hy, grid.hx))
+    r = _stencil(x, grid, boundary) - b
+    if boundary == "neumann":
+        r -= r.mean()  # residual in the mean-zero subspace
+    res = _grid_l2(grid, r)
+    if res > tol * scale:
+        raise NonConvergence(1, res, what)
+    return ScalarField(grid, x)
 
 
 def solve_dirichlet(rhs, tol=_DEFAULT_TOL):
     """Solve Lap_h phi = rhs with homogeneous Dirichlet walls.
 
-    Returns phi with grid-L2 residual at most tol * (1 + |rhs|_2). The
-    operator is factorized once per grid; each call back-substitutes.
+    Returns phi with grid-L2 residual at most tol * (1 + |rhs|_2).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    grid = rhs.grid
-    A, lu = _dirichlet_ops(grid)
-    b = rhs.data.ravel()
-    x = lu.solve(b)
-    res = _grid_l2(grid, A @ x - b)
-    if res > tol * (1.0 + _grid_l2(grid, b)):
-        raise NonConvergence(1, res, "Dirichlet Poisson solve")
-    return ScalarField(grid, x.reshape(rhs.data.shape))
+    scale = 1.0 + _grid_l2(rhs.grid, rhs.data)
+    return _solve(rhs, "dirichlet", tol, scale, "Dirichlet Poisson solve")
 
 
 def solve_neumann(rhs, tol=_DEFAULT_TOL):
@@ -149,21 +168,8 @@ def solve_neumann(rhs, tol=_DEFAULT_TOL):
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    grid = rhs.grid
     mass = integrate(rhs)
-    b = rhs.data.ravel()
-    scale = 1.0 + _grid_l2(grid, b)
+    scale = 1.0 + _grid_l2(rhs.grid, rhs.data)
     if abs(mass) > 1e-10 * scale:
         raise Incompatible(mass)
-    A, lu = _neumann_ops(grid)
-    bp = b.copy()
-    bp[0] = 0.0
-    x = lu.solve(bp)
-    x -= x.mean()
-    # residual in the mean-zero subspace
-    r = A @ x - b
-    r -= r.mean()
-    res = _grid_l2(grid, r)
-    if res > tol * scale:
-        raise NonConvergence(1, res, "Neumann Poisson solve")
-    return ScalarField(grid, x.reshape(rhs.data.shape))
+    return _solve(rhs, "neumann", tol, scale, "Neumann Poisson solve")

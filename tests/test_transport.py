@@ -5,7 +5,8 @@ profiles (which freezes the equilibrium exactly) and the sign structure of
 the implicit generator (zero column sums give exact mass conservation,
 nonnegative off-diagonals give unconditional positivity). The step solves
 one tridiagonal sweep per direction; the sweeps are checked against the
-generator they split and against a sparse LU of their own matrices.
+generator they split and against a sparse LU of their own matrices. One
+coupled sim.step is checked on the same rough data.
 """
 
 import numpy as np
@@ -23,11 +24,13 @@ from ehd2d import (
     bernoulli,
     div_from_faces,
     integrate,
+    laplacian_matrix,
     sg_face_flux,
+    solve_dirichlet,
     step_charges,
     transport_generator,
 )
-from ehd2d import transport
+from ehd2d import sim, transport
 from ehd2d.transport import ANION_SIGN, CATION_SIGN
 
 
@@ -366,3 +369,21 @@ class TestStepProperties:
         for before, after in ((v, out_v), (w, out_w)):
             err = np.abs(after.data - before.data).max() / before.data.max()
             assert err <= 1e-12, f"dt={dt}: Maxwellian moved by {err:.3e}"
+
+    @PROPERTY_SETTINGS
+    @given(transport_cases())
+    def test_full_step_keeps_invariants(self, case):
+        """One coupled sim.step from a state whose potential solves Poisson
+        for the drawn charges, at the drawn dt capped by the CFL limit."""
+        g, v, w, _, u, dt = case
+        phi = solve_dirichlet(ScalarField(g, v.data - w.data))
+        state = sim.SystemState(u, ScalarField.zeros(g), v, w, phi)
+        out = sim.step(state, min(dt, sim.cfl_limit(state)))
+        for before, after in ((v, out.v), (w, out.w)):
+            m0, m1 = integrate(before), integrate(after)
+            assert abs(m1 - m0) <= 1e-12 * m0, f"mass {m0!r} -> {m1!r}"
+            assert after.data.min() >= 0.0
+        assert np.abs(div_from_faces(out.u).data).max() <= 1e-8
+        rhs = (out.v.data - out.w.data).ravel()
+        r = laplacian_matrix(g, "dirichlet") @ out.phi.data.ravel() - rhs
+        assert np.sqrt(g.vol * (r @ r)) <= 1e-10 * (1.0 + np.sqrt(g.vol * (rhs @ rhs)))
