@@ -273,22 +273,32 @@ class TestHookContract:
         assert len(newton) == s.iterations
         assert poisson_lu == []
 
-    def test_cfl_run_makes_no_factorization(self, tmp_path, monkeypatch):
-        """A CFL-limited run sets a new dt each step. The potential, the
-        viscous step and the projection are transform solves and the charge
-        step solves tridiagonal sweeps, so no step, whatever its dt, factors
-        a matrix. The grid is one no other test uses, so no earlier test can
-        have left a factorization behind."""
-        from ehd2d import fluid, poisson, sim, transport
+    def test_cfl_run_makes_no_viscous_factorization(self, tmp_path, monkeypatch):
+        """A CFL-limited run sets a new dt each step; the viscous step, the
+        projection and the potential are transform solves, so no dt ever
+        costs a factorization in fluid or poisson."""
+        from ehd2d import fluid, poisson, sim
         calls = _record_calls(monkeypatch, sim, "step")
-        lus = {m.__name__: _record_calls(monkeypatch, m, "splu")
-               for m in (poisson, transport, fluid)}
-        cfg = small("vortex-charge", "grid.nx=19", "grid.ny=14", "grid.lx=1.3",
-                    "initial.amplitude=20", "time.dt=0.05", "time.t_max=2e-3",
-                    f"output.dir={tmp_path / 'out'}")
+        viscous = _record_calls(monkeypatch, fluid, "splu")
+        poisson_lu = _record_calls(monkeypatch, poisson, "splu")
+        cfg = small("vortex-charge", "initial.amplitude=20", "time.dt=0.05",
+                    "time.t_max=2e-3", f"output.dir={tmp_path / 'out'}")
         run(cfg, write_outputs=False)
         assert len({args[1] for args in calls}) > 1, "test needs more than one distinct dt"
-        assert {name: len(c) for name, c in lus.items()} == dict.fromkeys(lus, 0)
+        assert viscous == []
+        assert poisson_lu == []
+
+    def test_cfl_run_makes_no_transport_factorization(self, tmp_path, monkeypatch):
+        """The charge step solves tridiagonal sweeps; no step, whatever its
+        dt, factors a transport matrix."""
+        from ehd2d import sim, transport
+        calls = _record_calls(monkeypatch, sim, "step")
+        lu = _record_calls(monkeypatch, transport, "splu")
+        cfg = small("vortex-charge", "initial.amplitude=20", "time.dt=0.05",
+                    "time.t_max=2e-3", f"output.dir={tmp_path / 'out'}")
+        run(cfg, write_outputs=False)
+        assert len({args[1] for args in calls}) > 1, "test needs more than one distinct dt"
+        assert lu == []
 
     def test_benchmark_entry_points_resolve(self):
         """Every name the benchmark's traced pass wraps exists and is
