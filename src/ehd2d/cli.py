@@ -28,7 +28,7 @@ from .diagnostics import (
     linearized_energy,
     total_energy,
 )
-from .fluid import ladyzhenskaya_ratio
+from .fluid import DIV_TOL, ladyzhenskaya_ratio
 from .poisson import apply_dirichlet_laplacian
 from .stationary import export_stationary, sinh_form_check, solve_pb
 
@@ -75,13 +75,9 @@ def _build_parser():
 
 
 def _load(args):
-    config = sim.load_config(path=args.config, preset=args.preset,
-                             overrides=args.overrides)
-    if args.out is not None:
-        values = dict(config._values)
-        values[("output", "dir")] = args.out
-        config = sim.SimConfig(values)
-    return config
+    out = [] if args.out is None else [f"output.dir={args.out}"]
+    return sim.load_config(path=args.config, preset=args.preset,
+                           overrides=args.overrides + out)
 
 
 def _cmd_run(args):
@@ -109,7 +105,8 @@ def _cmd_stationary(args):
 
 def _cmd_presets(_args):
     for name in sim.presets():
-        print(f"{name}: {sim.PRESET_DESCRIPTIONS[name]}")
+        description, _ = sim.PRESETS[name]
+        print(f"{name}: {description}")
     return EXIT_OK
 
 
@@ -195,7 +192,7 @@ def _cmd_check(args):
         ok_mass &= abs(rep.mass_v - config.M) <= 1e-11 * config.M
         ok_mass &= abs(rep.mass_w - config.N) <= 1e-11 * config.N
         ok_pos &= cur.v.data.min() >= 0.0 and cur.w.data.min() >= 0.0
-        ok_div &= float(np.abs(div_from_faces(cur.u).data).max()) <= 1e-8
+        ok_div &= float(np.abs(div_from_faces(cur.u).data).max()) <= DIV_TOL
         ok_w &= rep.W <= w_prev + 1e-6 * dt
         w_prev = rep.W
         if not cur.u.is_zero():

@@ -36,6 +36,9 @@ from .errors import NonConvergence, ZeroField
 from .grid import MacVectorField, grad_norm_sq, grad_to_faces, div_from_faces
 from .poisson import solve_neumann, transform_solve
 
+# Largest divergence a projected velocity may keep; step_velocity fails above it.
+DIV_TOL = 1e-8
+
 
 def body_force(v, w, phi):
     """Face field (v - w)_face * (grad phi)_face, zero on boundary faces."""
@@ -91,7 +94,7 @@ def _advect(u):
     return adv_x, adv_y
 
 
-def step_velocity(u, f, dt, proj_tol=1e-10, div_tol=1e-8):
+def step_velocity(u, f, dt, proj_tol=1e-10):
     """One projection step of the velocity u under the face force f.
 
     Returns (u_new, p) with p the zero-mean projection pressure.
@@ -121,7 +124,7 @@ def step_velocity(u, f, dt, proj_tol=1e-10, div_tol=1e-8):
     u_new = MacVectorField(g, u2.ux - gq.ux, u2.uy - gq.uy)
 
     worst = float(np.abs(div_from_faces(u_new).data).max())
-    if worst > div_tol:
+    if worst > DIV_TOL:
         raise NonConvergence(1, worst, "projection (residual divergence)")
     return u_new, q
 

@@ -22,13 +22,16 @@ decay diagnostics compare against. Identical configurations produce
 byte-identical CSV output. A SolverError raised by a step keeps its class
 and names the step number, its start time t and its dt.
 
-Config files are plain INI-style sections of key = value lines (see
-DEFAULTS for the schema); unknown sections or keys are errors, and every
-value can be overridden from the command line with dotted keys such as
-grid.nx=128.
+load_config layers the configuration: DEFAULTS, then the chosen preset's
+defaults, then an INI-style file of [section] key = value lines, then
+dotted overrides such as grid.nx=128, in that order. File lines and
+overrides go through one parser: keys are case-sensitive as DEFAULTS
+spells them, unknown sections or keys are errors, and float values must be
+finite.
 """
 
 import configparser
+import math
 import os
 import warnings
 
@@ -121,69 +124,62 @@ DEFAULTS = {
     ("output", "snapshot_every"): 0,
 }
 
-_TYPES = {key: type(val) for key, val in DEFAULTS.items()}
-
-# per-preset defaults applied between the global defaults and the user input
-PRESET_DEFAULTS = {
-    "symmetric-null": {},
-    "relax-small-mass": {
-        ("initial", "M"): 0.05,
-        ("initial", "N"): 0.1,
-        ("grid", "lx"): 4.0,
-        ("grid", "ly"): 4.0,
-        ("time", "dt"): 2e-3,
-        ("time", "t_max"): 5.0,
-    },
-    "vortex-charge": {
-        ("initial", "M"): 0.05,
-        ("initial", "N"): 0.1,
-        ("time", "dt"): 1e-3,
-    },
-    "near-equilibrium": {
-        ("initial", "M"): 0.05,
-        ("initial", "N"): 0.1,
-        ("grid", "lx"): 4.0,
-        ("grid", "ly"): 4.0,
-        ("time", "dt"): 2e-3,
-        ("time", "t_max"): 2.0,
-    },
+# SimConfig attribute of each key whose attribute is not the key's own name
+_RENAMED = {
+    ("tolerances", "poisson"): "tol_poisson",
+    ("tolerances", "pb"): "tol_pb",
+    ("tolerances", "projection"): "tol_projection",
+    ("output", "dir"): "outdir",
 }
 
-PRESET_DESCRIPTIONS = {
-    "symmetric-null": "uniform equal charges at rest; every diagnostic stays at its equilibrium value",
-    "relax-small-mass": "separated Gaussian charge bumps relaxing to the Maxwellian, fluid initially at rest",
-    "vortex-charge": "divergence-free double vortex stirring Gaussian charge bumps",
-    "near-equilibrium": "stationary state perturbed multiplicatively by eps",
+# name -> (description, defaults applied between DEFAULTS and the user input)
+PRESETS = {
+    "symmetric-null": (
+        "uniform equal charges at rest; every diagnostic stays at its equilibrium value",
+        {},
+    ),
+    "relax-small-mass": (
+        "separated Gaussian charge bumps relaxing to the Maxwellian, fluid initially at rest",
+        {
+            ("initial", "M"): 0.05,
+            ("initial", "N"): 0.1,
+            ("grid", "lx"): 4.0,
+            ("grid", "ly"): 4.0,
+            ("time", "dt"): 2e-3,
+            ("time", "t_max"): 5.0,
+        },
+    ),
+    "vortex-charge": (
+        "divergence-free double vortex stirring Gaussian charge bumps",
+        {
+            ("initial", "M"): 0.05,
+            ("initial", "N"): 0.1,
+            ("time", "dt"): 1e-3,
+        },
+    ),
+    "near-equilibrium": (
+        "stationary state perturbed multiplicatively by eps",
+        {
+            ("initial", "M"): 0.05,
+            ("initial", "N"): 0.1,
+            ("grid", "lx"): 4.0,
+            ("grid", "ly"): 4.0,
+            ("time", "dt"): 2e-3,
+            ("time", "t_max"): 2.0,
+        },
+    ),
 }
 
 
 class SimConfig:
-    """Validated bag of run parameters; see DEFAULTS for the key schema."""
+    """Validated bag of run parameters, one attribute per DEFAULTS key.
+
+    Built by load_config, which also checks the preset name.
+    """
 
     def __init__(self, values):
-        self._values = dict(values)
-        g = self._values
-        self.nx = g[("grid", "nx")]
-        self.ny = g[("grid", "ny")]
-        self.lx = g[("grid", "lx")]
-        self.ly = g[("grid", "ly")]
-        self.dt = g[("time", "dt")]
-        self.t_max = g[("time", "t_max")]
-        self.cfl_safety = g[("time", "cfl_safety")]
-        self.tol_poisson = g[("tolerances", "poisson")]
-        self.tol_pb = g[("tolerances", "pb")]
-        self.tol_projection = g[("tolerances", "projection")]
-        self.preset = g[("initial", "preset")]
-        self.M = g[("initial", "M")]
-        self.N = g[("initial", "N")]
-        self.eps = g[("initial", "eps")]
-        self.amplitude = g[("initial", "amplitude")]
-        self.rho0_warn = g[("initial", "rho0_warn")]
-        self.v_file = g[("initial", "v_file")]
-        self.w_file = g[("initial", "w_file")]
-        self.outdir = g[("output", "dir")]
-        self.record_every = g[("output", "record_every")]
-        self.snapshot_every = g[("output", "snapshot_every")]
+        for key in DEFAULTS:
+            setattr(self, _RENAMED.get(key, key[1]), values[key])
         self._validate()
 
     def _validate(self):
@@ -199,10 +195,6 @@ class SimConfig:
             raise ConfigError("output.record_every must be at least 1")
         if self.snapshot_every < 0:
             raise ConfigError("output.snapshot_every must be nonnegative")
-        if self.preset not in PRESET_DEFAULTS:
-            raise ConfigError(
-                f"unknown preset {self.preset!r}; available: {', '.join(sorted(PRESET_DEFAULTS))}"
-            )
         for tol in (self.tol_poisson, self.tol_pb, self.tol_projection):
             if tol <= 0.0:
                 raise ConfigError("tolerances must be positive")
@@ -212,29 +204,33 @@ class SimConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def _coerce(key, raw):
-    want = _TYPES[key]
+def _parse(section, key, raw):
+    """The DEFAULTS key (section, key) and raw coerced to its type; floats must be finite."""
+    full = (section, key)
+    if full not in DEFAULTS:
+        raise ConfigError(f"unknown config key {section}.{key}")
     try:
-        if want is int:
-            return int(raw)
-        if want is float:
-            return float(raw)
-        return str(raw)
+        value = type(DEFAULTS[full])(raw)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key[0]}.{key[1]}: {raw!r}") from exc
+        raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+    return full, value
 
 
 def load_config(path=None, preset=None, overrides=()):
     """Assemble a SimConfig from defaults, preset defaults, a file and overrides.
 
     Precedence, lowest to highest: DEFAULTS, the preset's defaults, the
-    config file, then the key=value override pairs. The preset may come from
-    the file itself; its defaults never override explicit file keys.
+    config file, then the section.key=value overrides in order (the CLI
+    passes --out last, as output.dir). The preset is the one named by the
+    overrides, else the file, else the preset argument; its defaults never
+    override explicit file keys.
     """
-    values = dict(DEFAULTS)
-    file_values = {}
+    user = {} if preset is None else {("initial", "preset"): preset}
     if path is not None:
         cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        cp.optionxform = str
         try:
             with open(path) as fh:
                 cp.read_file(fh)
@@ -243,12 +239,7 @@ def load_config(path=None, preset=None, overrides=()):
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
         for section in cp.sections():
-            for key, raw in cp.items(section):
-                full = (section, key)
-                if full not in DEFAULTS:
-                    raise ConfigError(f"unknown config key {section}.{key}")
-                file_values[full] = _coerce(full, raw)
-    override_values = {}
+            user.update(_parse(section, key, raw) for key, raw in cp.items(section))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
@@ -256,27 +247,12 @@ def load_config(path=None, preset=None, overrides=()):
         if "." not in dotted:
             raise ConfigError(f"override key {dotted!r} needs the form section.key")
         section, key = dotted.split(".", 1)
-        full = (section, key)
-        if full not in DEFAULTS:
-            raise ConfigError(f"unknown config key {dotted}")
-        override_values[full] = _coerce(full, raw)
+        user.update([_parse(section, key, raw)])
 
-    chosen = values[("initial", "preset")]
-    if preset is not None:
-        chosen = preset
-    if ("initial", "preset") in file_values:
-        chosen = file_values[("initial", "preset")]
-    if ("initial", "preset") in override_values:
-        chosen = override_values[("initial", "preset")]
-    if chosen not in PRESET_DEFAULTS:
-        raise ConfigError(
-            f"unknown preset {chosen!r}; available: {', '.join(sorted(PRESET_DEFAULTS))}"
-        )
-    values[("initial", "preset")] = chosen
-    values.update(PRESET_DEFAULTS[chosen])
-    values.update(file_values)
-    values.update(override_values)
-    return SimConfig(values)
+    name = user.get(("initial", "preset"), DEFAULTS[("initial", "preset")])
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(presets())}")
+    return SimConfig({**DEFAULTS, **PRESETS[name][1], **user})
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +261,7 @@ def load_config(path=None, preset=None, overrides=()):
 
 def presets():
     """Names of the built-in initial-data generators."""
-    return sorted(PRESET_DEFAULTS)
+    return sorted(PRESETS)
 
 
 def _gaussian(X, Y, cx, cy, sigma):
@@ -350,15 +326,13 @@ def build_initial_state(config, equilibrium=None):
             grid, _gaussian(X, Y, 0.7 * grid.lx, 0.5 * grid.ly, sigma), config.N
         )
         u0 = _stream_velocity(grid, config.amplitude)
-    elif config.preset == "near-equilibrium":
+    else:  # near-equilibrium
         if equilibrium is None:
             equilibrium = solve_pb(config.M, config.N, grid, tol=config.tol_pb)
         eta_v = np.sin(2.0 * np.pi * X / grid.lx) * np.cos(np.pi * Y / grid.ly)
         eta_w = np.cos(np.pi * X / grid.lx) * np.sin(2.0 * np.pi * Y / grid.ly)
         v0 = _normalized(grid, equilibrium.v.data * (1.0 + config.eps * eta_v), config.M)
         w0 = _normalized(grid, equilibrium.w.data * (1.0 + config.eps * eta_w), config.N)
-    else:
-        raise ConfigError(f"unknown preset {config.preset!r}")
 
     rhs = ScalarField(grid, v0.data - w0.data)
     phi0 = solve_dirichlet(rhs, tol=config.tol_poisson)

@@ -27,10 +27,12 @@ class TestExitCodes:
     def test_missing_subcommand(self, capsys):
         assert cli.main([]) == 1
 
-    def test_config_error_maps_to_one(self, capsys):
-        code = cli.main(["run", "--set", "time.dt=-1"])
-        assert code == 1
-        assert "config error" in capsys.readouterr().err
+    def test_config_error_maps_to_one(self, tmp_path, capsys):
+        for bad in ("time.dt=-1", "tolerances.poisson=nan"):
+            code = cli.main(["run", "--set", bad, "--out", str(tmp_path / "out")])
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error:"), err
 
     def test_bad_charge_file_is_one_line_config_error(self, tmp_path, capsys):
         vp, wp = str(tmp_path / "v.txt"), str(tmp_path / "w.txt")
@@ -199,7 +201,9 @@ class TestEntryPoint:
         out = tmp_path / "used"
         code = cli.main(["stationary", "--quiet", "--config", str(cfgfile),
                          "--set", "grid.nx=12", "--set", "grid.ny=12",
-                         "--out", str(out)])
+                         "--out", str(out),
+                         "--set", f"output.dir={tmp_path / 'ignored-set'}"])
         assert code == 0
         assert out.is_dir()
         assert not (tmp_path / "ignored").exists()
+        assert not (tmp_path / "ignored-set").exists()

@@ -78,11 +78,31 @@ class TestConfigLayering:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("[grid]\nmx = 3\n")
-        with pytest.raises(ConfigError, match="unknown config key"):
-            load_config(path=str(path))
+        for text in ("[grid]\nmx = 3\n", "[grid]\nNX = 64\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="unknown config key"):
+                load_config(path=str(path))
         with pytest.raises(ConfigError, match="unknown config key"):
             load_config(overrides=["grid.mx=3"])
+
+    @pytest.mark.parametrize("source", ["every-key", "readme"])
+    def test_file_of_defaults_loads_back(self, source, tmp_path):
+        """File keys keep their case (initial.M), so a file spelling out the
+        defaults, or README's example of one, loads back to DEFAULTS."""
+        if source == "every-key":
+            sections = {}
+            for (section, key), value in DEFAULTS.items():
+                sections.setdefault(section, []).append(f"{key} = {value}\n")
+            text = "".join(f"[{section}]\n" + "".join(lines)
+                           for section, lines in sections.items())
+        else:
+            readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "README.md")).read()
+            start = readme.index("```\n[grid]\n") + 4
+            text = readme[start:readme.index("```", start)]
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert vars(load_config(path=str(path))) == vars(load_config())
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
@@ -106,7 +126,9 @@ class TestConfigLayering:
         for bad in ("time.dt=0", "time.t_max=-1", "time.cfl_safety=1.5",
                     "initial.M=0", "output.record_every=0",
                     "output.snapshot_every=-1", "tolerances.poisson=0",
-                    "grid.nx=1"):
+                    "grid.nx=1", "tolerances.poisson=nan", "time.t_max=nan",
+                    "initial.M=nan", "initial.M=inf", "initial.amplitude=nan",
+                    "time.dt=nan"):
             with pytest.raises(ConfigError):
                 load_config(overrides=[bad])
 
