@@ -96,6 +96,8 @@ def _cmd_stationary(args):
     s = solve_pb(config.M, config.N, config.grid, tol=config.tol_pb)
     paths = export_stationary(s, config.outdir)
     if not args.quiet:
+        for k, (res, step, halvings) in enumerate(s.history):
+            print(f"newton {k}: residual {res:.3e}  step {step:g}  halvings {halvings}")
         print(f"converged in {s.iterations} iterations, residual {s.residual:.3e}")
         print(f"max |phi| = {float(np.abs(s.phi.data).max()):.3e}")
         print(f"sinh-form residual = {sinh_form_check(s):.3e}")

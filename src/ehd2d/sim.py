@@ -229,7 +229,8 @@ def load_config(path=None, preset=None, overrides=()):
     """
     user = {} if preset is None else {("initial", "preset"): preset}
     if path is not None:
-        cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
         cp.optionxform = str
         try:
             with open(path) as fh:

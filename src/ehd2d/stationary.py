@@ -7,19 +7,33 @@ zero-boundary space of
 
 whose Euler-Lagrange residual on the grid is
 
-    R(phi) = Lap_h phi - M e^{phi}/int e^{phi} + N e^{-phi}/int e^{-phi}.
+    R(phi) = Lap_h phi - M e^{phi}/int e^{phi} + N e^{-phi}/int e^{-phi},
 
-Newton directions use the sparse quasi-Jacobian Lap_h - diag(v + w) (the
-dense rank-one terms coming from the normalizing integrals are dropped; the
-matrix stays symmetric negative definite, so the direction is always a
-descent direction for J and a backtracking line search gives global
-convergence from phi = 0). The Maxwellian densities
+so that grad J = -vol R. The Maxwellian densities
 
     v_inf = M e^{phi}/int e^{phi},    w_inf = N e^{-phi}/int e^{-phi}
 
-carry their masses exactly by construction. Exponentials are evaluated in
-shifted (log-sum-exp) form throughout, so moderate-amplitude potentials
-cannot overflow.
+carry their masses exactly by construction.
+
+Newton directions use the exact Hessian. With B = diag(v + w) - Lap_h and
+U = [sqrt(vol/M) v, sqrt(vol/N) w] (two columns),
+
+    vol^{-1} Hess J = B - U U^T,
+
+the sparse matrix B plus the rank-two term from the normalizing integrals.
+The step solves (B - U U^T) delta = R by the Sherman-Morrison-Woodbury
+identity: one sparse LU of B, one three-column solve B Z = [R, U], and the
+2x2 capacitance matrix C = I - U^T Z_U give
+
+    delta = Z_R + Z_U C^{-1} U^T Z_R.
+
+J is strictly convex for every M, N > 0 (the log-integral terms are convex,
+the Dirichlet energy strictly so), so B - U U^T is symmetric positive
+definite and delta is a descent direction, slope -vol R^T delta < 0, at any
+mass. A backtracking line search then gives global convergence from
+phi = 0, and the full steps near the minimizer converge quadratically.
+Exponentials are evaluated in shifted (log-sum-exp) form throughout, so
+moderate-amplitude potentials cannot overflow.
 """
 
 import os
@@ -48,11 +62,17 @@ def _normalized_exp(z, mass, vol):
 
 
 class StationarySolution:
-    """Equilibrium bundle: potential, Maxwellians, masses, solver record."""
+    """Equilibrium bundle: potential, Maxwellians, masses, solver record.
 
-    __slots__ = ("phi", "v", "w", "M", "N", "residual", "iterations")
+    history holds one (residual, step, halvings) triple per Newton iterate:
+    the residual there, the line-search step length taken from it and the
+    number of halvings that step needed. The last entry is the returned
+    iterate, from which no step is taken (step 0.0).
+    """
 
-    def __init__(self, phi, v, w, M, N, residual, iterations):
+    __slots__ = ("phi", "v", "w", "M", "N", "residual", "iterations", "history")
+
+    def __init__(self, phi, v, w, M, N, residual, iterations, history=()):
         self.phi = phi
         self.v = v
         self.w = w
@@ -60,6 +80,7 @@ class StationarySolution:
         self.N = N
         self.residual = residual
         self.iterations = iterations
+        self.history = list(history)
 
     @property
     def grid(self):
@@ -77,6 +98,21 @@ def functional_J(phi, M, N):
         + M * _log_int_exp(z, vol)
         + N * _log_int_exp(-z, vol)
     )
+
+
+def _newton_direction(A, v, w, R, M, N, vol):
+    """Exact Newton direction: solves (B - U U^T) delta = R by Woodbury.
+
+    B = diag(v + w) - A with A the Dirichlet Lap_h, U = [sqrt(vol/M) v,
+    sqrt(vol/N) w]. The LU of B lives only in this call, so it is freed
+    before the next iteration makes its own.
+    """
+    U = np.column_stack((np.sqrt(vol / M) * v, np.sqrt(vol / N) * w))
+    B = (sp.diags(v + w) - A).tocsc()
+    Z = splu(B, permc_spec="MMD_AT_PLUS_A").solve(np.column_stack((R, U)))
+    Z_R, Z_U = Z[:, 0], Z[:, 1:]
+    C = np.eye(2) - U.T @ Z_U
+    return Z_R + Z_U @ np.linalg.solve(C, U.T @ Z_R)
 
 
 def solve_pb(M, N, grid, tol=_DEFAULT_TOL, max_iter=50, phi0=None):
@@ -97,35 +133,37 @@ def solve_pb(M, N, grid, tol=_DEFAULT_TOL, max_iter=50, phi0=None):
     def J_of(vec):
         return functional_J(ScalarField(grid, vec.reshape(grid.ny, grid.nx)), M, N)
 
-    res = np.inf
-    iterations = 0
+    history = []
     for k in range(max_iter + 1):
         dens_v = _normalized_exp(phi, M, vol)
         dens_w = _normalized_exp(-phi, N, vol)
         R = A @ phi - dens_v + dens_w
         res = float(np.sqrt(vol * (R @ R)))
-        iterations = k
         if res <= tol:
+            history.append((res, 0.0, 0))
             break
         if k == max_iter:
             raise NonConvergence(k, res, "Poisson-Boltzmann Newton")
-        Jmat = (A - sp.diags(dens_v + dens_w)).tocsc()
-        delta = splu(Jmat, permc_spec="MMD_AT_PLUS_A").solve(-R)
-        J0 = J_of(phi)
+        delta = _newton_direction(A, dens_v, dens_w, R, M, N, vol)
         slope = -vol * float(R @ delta)
+        if not (np.isfinite(delta).all() and slope < 0.0):
+            what = f"Poisson-Boltzmann Newton (no descent direction at iteration {k + 1})"
+            raise NonConvergence(k, res, what)
+        J0 = J_of(phi)
         # Near the minimum the decrease per step falls below the rounding
         # error of J itself, so the sufficient-decrease test carries an
         # absolute floating-point allowance.
         fuzz = 1e-14 * (1.0 + abs(J0))
         alpha = 1.0
+        halvings = 0
         while J_of(phi + alpha * delta) > J0 + 1e-4 * alpha * slope + fuzz:
             alpha *= 0.5
+            halvings += 1
             if alpha < 1e-12:
                 raise LineSearchStall(J0, alpha)
+        history.append((res, alpha, halvings))
         phi = phi + alpha * delta
 
-    dens_v = _normalized_exp(phi, M, vol)
-    dens_w = _normalized_exp(-phi, N, vol)
     shape = (grid.ny, grid.nx)
     return StationarySolution(
         ScalarField(grid, phi.reshape(shape)),
@@ -134,7 +172,8 @@ def solve_pb(M, N, grid, tol=_DEFAULT_TOL, max_iter=50, phi0=None):
         float(M),
         float(N),
         res,
-        iterations,
+        k,
+        history,
     )
 
 

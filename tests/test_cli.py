@@ -28,8 +28,11 @@ class TestExitCodes:
         assert cli.main([]) == 1
 
     def test_config_error_maps_to_one(self, tmp_path, capsys):
-        for bad in ("time.dt=-1", "tolerances.poisson=nan"):
-            code = cli.main(["run", "--set", bad, "--out", str(tmp_path / "out")])
+        percent = tmp_path / "percent.cfg"
+        percent.write_text("[grid]\nnx = 8%x\n")
+        for bad in (["--set", "time.dt=-1"], ["--set", "tolerances.poisson=nan"],
+                    ["--config", str(percent)]):
+            code = cli.main(["run", *bad, "--out", str(tmp_path / "out")])
             assert code == 1
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("config error:"), err
@@ -62,6 +65,23 @@ class TestExitCodes:
                          "--out", str(tmp_path / "s")])
         assert code == 2
         assert "solver error" in capsys.readouterr().err
+
+    def test_non_finite_newton_direction_maps_to_two(self, tmp_path, capsys,
+                                                     monkeypatch):
+        from ehd2d import stationary
+
+        class NanLU:
+            def solve(self, b):
+                return np.full_like(b, np.nan)
+
+        monkeypatch.setattr(stationary, "splu", lambda *args, **kwargs: NanLU())
+        code = cli.main(["stationary", "--preset", "relax-small-mass",
+                         "--set", "grid.nx=16", "--set", "grid.ny=16",
+                         "--out", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver error:"), err
+        assert "no descent direction at iteration 1" in err[0]
 
     def test_solver_error_in_run_names_step(self, tmp_path, capsys, monkeypatch):
         from ehd2d import sim
@@ -115,6 +135,17 @@ class TestRunCommand:
         assert code == 0
         assert capsys.readouterr().out == ""
 
+    def test_large_mass_run_completes(self, tmp_path):
+        """M = 100, N = 150 is admissible data; the equilibrium solve at
+        set-up converges and the run ends normally."""
+        with pytest.warns(UserWarning, match="small-data threshold"):
+            code = cli.main(["run", "--preset", "relax-small-mass", "--quiet",
+                             "--set", "initial.M=100", "--set", "initial.N=150",
+                             "--set", "grid.nx=32", "--set", "grid.ny=32",
+                             "--set", "time.t_max=0.01",
+                             "--out", str(tmp_path / "out")])
+        assert code == 0
+
     def test_config_file_round_trip(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
@@ -138,6 +169,10 @@ class TestStationaryCommand:
         assert code == 0
         printed = capsys.readouterr().out
         assert "converged in" in printed
+        iterations = int(printed.split("converged in ")[1].split()[0])
+        newton = [line for line in printed.splitlines() if line.startswith("newton ")]
+        assert len(newton) == iterations + 1
+        assert newton[0].startswith("newton 0: residual ")
         assert "sinh-form residual" in printed
         phi = load_matrix(str(out / "phi_inf.txt"))
         assert phi.shape == (24, 24)
@@ -145,12 +180,13 @@ class TestStationaryCommand:
         assert "nx = 24" in meta
         assert "M = 0.05" in meta
 
-    def test_set_overrides_reach_solver(self, tmp_path):
+    def test_set_overrides_reach_solver(self, tmp_path, capsys):
         out = tmp_path / "stat"
         code = cli.main(["stationary", "--quiet", "--set", "grid.nx=12",
                          "--set", "grid.ny=10", "--set", "initial.M=0.2",
                          "--set", "initial.N=0.2", "--out", str(out)])
         assert code == 0
+        assert capsys.readouterr().out == "", "--quiet prints no Newton history"
         assert load_matrix(str(out / "phi_inf.txt")).shape == (10, 12)
         assert "M = 0.2" in (out / "metadata.txt").read_text()
 

@@ -104,6 +104,12 @@ class TestConfigLayering:
         path.write_text(text)
         assert vars(load_config(path=str(path))) == vars(load_config())
 
+    def test_percent_sign_is_literal(self, tmp_path):
+        """Config values are read without interpolation, so '%' is kept."""
+        path = tmp_path / "run.cfg"
+        path.write_text("[output]\ndir = out%x\n")
+        assert load_config(path=str(path)).outdir == "out%x"
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
             load_config(overrides=["grid.nx=three"])

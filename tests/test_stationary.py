@@ -15,11 +15,13 @@ from ehd2d import (
     apply_dirichlet_laplacian,
     functional_J,
     integrate,
+    laplacian_matrix,
     lp_norm,
     sinh_form_check,
     solve_pb,
     stationary_pressure_check,
 )
+from ehd2d import stationary
 from ehd2d.errors import NonConvergence
 from ehd2d.stationary import export_stationary
 
@@ -97,6 +99,71 @@ class TestAsymmetricMasses:
             solve_pb(0.0, 0.1, Grid2D(8, 8))
         with pytest.raises(ValueError):
             solve_pb(0.1, -0.5, Grid2D(8, 8))
+
+
+class TestExactNewton:
+    """The Newton direction solves with the exact Hessian of J, so the
+    iteration converges quadratically and at any positive mass."""
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("M,N", [(0.05, 0.1), (30, 40), (50, 60), (100, 150),
+                                     (1000, 1500)])
+    def test_converges_at_any_mass(self, n, M, N):
+        s = solve_pb(M, N, Grid2D(n, n, 4.0, 4.0))
+        assert s.residual <= 1e-10
+        assert s.iterations <= 6, f"{s.iterations} iterations at M={M}, N={N}, {n}^2"
+
+    def test_direction_matches_dense_exact_jacobian(self):
+        """On a small anisotropic grid at a random potential, the Woodbury
+        direction equals the dense solve with the Jacobian of R, taken
+        column by column by complex-step differentiation."""
+        g = Grid2D(6, 5, 1.3, 0.7)
+        M, N, vol = 2.0, 3.0, g.vol
+        A = laplacian_matrix(g, "dirichlet")
+        phi = np.random.default_rng(3).standard_normal(g.nx * g.ny)
+
+        def residual(z):
+            ep, em = np.exp(z), np.exp(-z)
+            return A @ z - M * ep / (vol * ep.sum()) + N * em / (vol * em.sum())
+
+        R = residual(phi).real
+        h = 1e-30
+        jac = np.column_stack([residual(phi + 1j * h * e).imag / h
+                               for e in np.eye(phi.size)])
+        ref = np.linalg.solve(jac, -R)
+        v = M * np.exp(phi) / (vol * np.exp(phi).sum())
+        w = N * np.exp(-phi) / (vol * np.exp(-phi).sum())
+        delta = stationary._newton_direction(A, v, w, R, M, N, vol)
+        rel = np.linalg.norm(delta - ref) / np.linalg.norm(ref)
+        assert rel <= 1e-10, f"relative gap {rel:.3e}"
+        # the rank-two Hessian term is not negligible here
+        quasi = np.linalg.solve(np.diag(v + w) - A.toarray(), R)
+        assert np.linalg.norm(quasi - ref) >= 1e-3 * np.linalg.norm(ref)
+
+    def test_history_ends_at_reported_residual(self):
+        s = solve_pb(30, 40, Grid2D(32, 32, 4.0, 4.0))
+        assert len(s.history) == s.iterations + 1
+        assert s.history[-1][0] == s.residual
+        assert s.history[-1][1:] == (0.0, 0)
+        assert all(step > 0.0 for _, step, _ in s.history[:-1])
+
+    def test_residual_falls_quadratically(self):
+        """Over the last two steps each residual is at most the square of
+        the one before, or under 1e-12, where rounding sets the floor."""
+        s = solve_pb(30, 40, Grid2D(64, 64, 4.0, 4.0))
+        res = [r for r, _, _ in s.history]
+        assert len(res) >= 3
+        for before, after in zip(res[-3:], res[-2:]):
+            assert after <= max(before * before, 1e-12), f"residuals {res}"
+
+    def test_non_finite_direction_raises(self, monkeypatch):
+        class NanLU:
+            def solve(self, b):
+                return np.full_like(b, np.nan)
+
+        monkeypatch.setattr(stationary, "splu", lambda *args, **kwargs: NanLU())
+        with pytest.raises(NonConvergence, match="no descent direction at iteration 1"):
+            solve_pb(0.05, 0.1, Grid2D(16, 16))
 
 
 class TestSmallMassLimit:
