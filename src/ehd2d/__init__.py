@@ -45,17 +45,12 @@ from .stationary import (
 from .diagnostics import (
     DecayFit,
     EnergyReport,
-    csiszar_check,
     energy_report,
     entropy_production,
-    error_norms,
     fit_decay,
-    linearized_energy,
     psi,
-    relative_entropy,
     total_energy,
     weighted_poincare_estimate,
-    wwrel_check,
 )
 from .sim import (
     RunResult,
@@ -83,10 +78,8 @@ __all__ = [
     "body_force", "ladyzhenskaya_ratio", "step_velocity",
     "StationarySolution", "functional_J", "sinh_form_check", "solve_pb",
     "stationary_pressure_check",
-    "DecayFit", "EnergyReport", "csiszar_check", "energy_report",
-    "entropy_production", "error_norms", "fit_decay", "linearized_energy",
-    "psi", "relative_entropy", "total_energy", "weighted_poincare_estimate",
-    "wwrel_check",
+    "DecayFit", "EnergyReport", "energy_report", "entropy_production",
+    "fit_decay", "psi", "total_energy", "weighted_poincare_estimate",
     "RunResult", "SimConfig", "SystemState", "build_initial_state",
     "embed_stationary", "load_config", "presets", "run", "step",
     "__version__",

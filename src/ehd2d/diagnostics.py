@@ -9,9 +9,11 @@ stationary solution it relaxes toward:
 * entropy production, the nonnegative dissipation rate -dW/dt, built from
   face log-gradients with harmonic-mean face densities so it vanishes
   exactly on the discrete Boltzmann equilibrium;
-* relative entropy W_rel against the stationary Maxwellians, the linearized
-  (quadratic) energy L, and the error functionals E_p;
-* the Csiszar-Kullback comparison (squared L1 distances against 4 W_rel);
+* the functionals measured against the stationary state: the relative
+  entropy W_rel, the linearized (quadratic) energy L, the error functionals
+  E1 and E2, and the left side of the Csiszar-Kullback comparison (squared
+  L1 distances against 4 W_rel). Only energy_report computes them, each
+  shared term once per report; EnergyReport defines them;
 * exponential decay fits on recorded time series;
 * the weighted Poincare constant, via an inverse power iteration on the
   constrained generalized eigenproblem.
@@ -119,96 +121,6 @@ def entropy_production(state):
     pv = _species_production(state.v, state.phi.data, -1.0, g)
     pw = _species_production(state.w, state.phi.data, +1.0, g)
     return pv + pw + grad_norm_sq(state.u)
-
-
-def _h1_diff(phi, phi_inf):
-    d = ScalarField(phi.grid, phi.data - phi_inf.data)
-    return h1_seminorm(d, dirichlet=True)
-
-
-def relative_entropy(state, s):
-    """W_rel: entropies relative to the Maxwellians plus electric and kinetic parts."""
-    return (
-        _entropy_integral(state.v, s.v.data)
-        + _entropy_integral(state.w, s.w.data)
-        + 0.5 * _h1_diff(state.phi, s.phi)
-        + kinetic_energy(state.u)
-    )
-
-
-def equilibrium_energy(s):
-    """W evaluated at the stationary state (zero velocity)."""
-    return (
-        _entropy_integral(s.v, 1.0)
-        + _entropy_integral(s.w, 1.0)
-        + 0.5 * h1_seminorm(s.phi, dirichlet=True)
-    )
-
-
-def wwrel_check(state, s):
-    """Evaluate the three quantities tied together by the total/relative split.
-
-    Returns (w_rel, w, w_inf). The discrete identity, exact up to solver
-    tolerance and mass drift, is w_rel = w - w_inf; the sum w + w_inf is
-    what one printed form of the relation claims and is reported so the
-    discrepancy (2 w_inf) can be recorded.
-    """
-    return relative_entropy(state, s), total_energy(state).W, equilibrium_energy(s)
-
-
-def linearized_energy(state, s):
-    """Quadratic expansion of W_rel around the stationary state.
-
-    L = int 1/2|u|^2 + (v-v_inf)^2/(2 v_inf) + (w-w_inf)^2/(2 w_inf)
-        + 1/2 |grad(phi-phi_inf)|^2,
-
-    term-by-term the second-order Taylor form of W_rel, so E_2 = 2L holds in
-    the same quadrature and W_rel/L -> 1 near equilibrium.
-    """
-    g = state.v.grid
-    dv = state.v.data - s.v.data
-    dw = state.w.data - s.w.data
-    return (
-        kinetic_energy(state.u)
-        + g.vol * float(np.sum(dv * dv / (2.0 * s.v.data)))
-        + g.vol * float(np.sum(dw * dw / (2.0 * s.w.data)))
-        + 0.5 * _h1_diff(state.phi, s.phi)
-    )
-
-
-def error_norms(state, s, p):
-    """E_p = int |u|^2 + |v-v_inf|^p/v_inf^{p-1} + |w-w_inf|^p/w_inf^{p-1} + |grad(phi-phi_inf)|^2."""
-    if p not in (1, 2):
-        raise ValueError(f"error_norms supports p in {{1, 2}}, got {p}")
-    g = state.v.grid
-    dv = np.abs(state.v.data - s.v.data)
-    dw = np.abs(state.w.data - s.w.data)
-    if p == 1:
-        charge = g.vol * float(dv.sum() + dw.sum())
-    else:
-        charge = g.vol * float(
-            np.sum(dv * dv / s.v.data) + np.sum(dw * dw / s.w.data)
-        )
-    return (
-        2.0 * kinetic_energy(state.u)
-        + charge
-        + _h1_diff(state.phi, s.phi)
-    )
-
-
-def csiszar_check(state, s):
-    """Both sides of the Csiszar-Kullback comparison; lhs uses squared L1 norms.
-
-    lhs = ||v-v_inf||_1^2 + ||w-w_inf||_1^2 + ||grad(phi-phi_inf)||^2 + ||u||^2,
-    rhs = W_rel. The squared form is the one the entropy inequality
-    ||f-g||_1^2 <= ((2||f||_1 + 4||g||_1)/3) int psi_g(f) supports; with the
-    masses this package works at, lhs <= 4 rhs.
-    """
-    g = state.v.grid
-    l1v = g.vol * float(np.abs(state.v.data - s.v.data).sum())
-    l1w = g.vol * float(np.abs(state.w.data - s.w.data).sum())
-    lhs = l1v ** 2 + l1w ** 2 + _h1_diff(state.phi, s.phi) + 2.0 * kinetic_energy(state.u)
-    return lhs, relative_entropy(state, s)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +238,27 @@ CSV_COLUMNS = (
 class EnergyReport:
     """Everything the CSV records about one instant of a run.
 
+    mass_v, mass_w, the four parts of W and W itself (total_energy) and
+    production (entropy_production) need no equilibrium. The next five
+    fields are measured against the stationary state (v_inf, w_inf, phi_inf)
+    at rest. With dv = v - v_inf, dw = w - w_inf, the kinetic energy
+    K = int 1/2 |u|^2 and H = int |grad(phi - phi_inf)|^2 in the
+    Dirichlet-ghost quadrature:
+
+    * W_rel = int psi(v, v_inf) + psi(w, w_inf) + H/2 + K, the relative
+      entropy. When the masses match the stationary ones it equals
+      W - W_inf, W_inf being W at the stationary state: the cross terms
+      telescope by duality.
+    * L = K + int dv^2/(2 v_inf) + dw^2/(2 w_inf) + H/2, the quadratic
+      (linearized) energy: term by term the second-order Taylor form of
+      W_rel, so W_rel/L -> 1 near equilibrium.
+    * E_p = 2K + int |dv|^p/v_inf^(p-1) + |dw|^p/w_inf^(p-1) + H for
+      p = 1, 2, the error functionals; E2 = 2L in the same quadrature.
+    * ck_lhs = ||dv||_1^2 + ||dw||_1^2 + H + 2K, the left side of the
+      Csiszar-Kullback comparison whose right side is W_rel. The entropy
+      inequality ||f-g||_1^2 <= ((2||f||_1 + 4||g||_1)/3) int psi(f, g)
+      supports it; with the masses this package works at, ck_lhs <= 4 W_rel.
+
     lady_ratio is reported as 0.0 for an exactly zero velocity field (the
     underlying ratio is undefined there).
     """
@@ -347,9 +280,22 @@ class EnergyReport:
 
 
 def energy_report(state, s):
-    """Evaluate every recorded functional of the state against equilibrium s."""
+    """Evaluate every recorded functional of the state against equilibrium s.
+
+    Each term the fields share is computed once: K, H, dv and dw, their L1
+    sums and their sums of d^2/c_inf.
+    """
+    vol = state.v.grid.vol
     parts = total_energy(state)
-    ck_lhs, w_rel = csiszar_check(state, s)
+    kin = parts.kinetic
+    h1 = h1_seminorm(ScalarField(state.phi.grid, state.phi.data - s.phi.data),
+                     dirichlet=True)
+    dv = state.v.data - s.v.data
+    dw = state.w.data - s.w.data
+    l1v = float(np.abs(dv).sum())
+    l1w = float(np.abs(dw).sum())
+    qv = float(np.sum(dv * dv / s.v.data))
+    qw = float(np.sum(dw * dw / s.w.data))
     lady = 0.0 if state.u.is_zero() else ladyzhenskaya_ratio(state.u)
     return EnergyReport(
         t=float(state.t),
@@ -361,11 +307,12 @@ def energy_report(state, s):
         entropy_w=parts.entropy_w,
         W=parts.W,
         production=entropy_production(state),
-        W_rel=w_rel,
-        L=linearized_energy(state, s),
-        E1=error_norms(state, s, 1),
-        E2=error_norms(state, s, 2),
-        ck_lhs=ck_lhs,
+        W_rel=(_entropy_integral(state.v, s.v.data)
+               + _entropy_integral(state.w, s.w.data) + 0.5 * h1 + kin),
+        L=kin + vol * (0.5 * qv) + vol * (0.5 * qw) + 0.5 * h1,
+        E1=2.0 * kin + vol * (l1v + l1w) + h1,
+        E2=2.0 * kin + vol * (qv + qw) + h1,
+        ck_lhs=(vol * l1v) ** 2 + (vol * l1w) ** 2 + h1 + 2.0 * kin,
         lady_ratio=lady,
     )
 

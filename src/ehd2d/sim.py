@@ -305,8 +305,6 @@ def build_initial_state(config, equilibrium=None):
             w0 = ScalarField(grid, load_matrix(config.w_file))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad initial charge file: {exc}") from exc
-        if v0.data.min() < 0.0 or w0.data.min() < 0.0:
-            raise ConfigError("initial charge files contain negative densities")
     elif config.preset == "symmetric-null":
         v0 = ScalarField.full(grid, config.M / grid.area)
         w0 = ScalarField.full(grid, config.N / grid.area)
@@ -335,6 +333,9 @@ def build_initial_state(config, equilibrium=None):
         v0 = _normalized(grid, equilibrium.v.data * (1.0 + config.eps * eta_v), config.M)
         w0 = _normalized(grid, equilibrium.w.data * (1.0 + config.eps * eta_w), config.N)
 
+    # files and presets alike: a large |initial.eps| makes near-equilibrium negative
+    if v0.data.min() < 0.0 or w0.data.min() < 0.0:
+        raise ConfigError("initial charge densities contain negative values")
     rhs = ScalarField(grid, v0.data - w0.data)
     phi0 = solve_dirichlet(rhs, tol=config.tol_poisson)
     return SystemState(u0, ScalarField.zeros(grid), v0, w0, phi0, 0.0)

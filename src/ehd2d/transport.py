@@ -23,9 +23,11 @@ column sums, so each sweep by itself keeps the properties the package
 checks hardest:
 
 * positivity for every dt (the inverse of an M-matrix is nonnegative),
-* exact mass conservation (column sums of L_x and L_y are zero, so 1^T c
-  is invariant under each solve up to rounding, not truncation error; the
-  rounding of a direct solve grows like eps * dt * ||L||), and
+* exact mass conservation: L_x and L_y have zero column sums and decouple
+  the lines, so every line keeps its mass through a sweep, up to rounding
+  and not truncation error. A direct solve rounds at about
+  eps * dt * ||L||, so each solved line is rescaled to its input's mass,
+  which holds the mass to rounding at every dt, and
 * the discrete Maxwellian as a fixed point (its SG flux vanishes on every
   face, so L_x and L_y annihilate it separately).
 
@@ -150,7 +152,17 @@ def _sweep(c, upper, lower, dt):
     if x.min() < floor:
         raise NonConvergence(1, float(x.min()), "charge positivity")
     np.maximum(x, 0.0, out=x)
-    return x.reshape(c.shape)
+    # Each line conserves its own mass exactly; the solve misses it by about
+    # eps * dt * ||L||. Scale every line by sum(b_line) / sum(x_line), as
+    # x + x * (ratio - 1): the ratio itself, rounded near 1, is biased low
+    # (doubles below 1 are twice as dense as above), so x * ratio would let
+    # the mass drift down step after step. Lines with no mass stay as they are.
+    x = x.reshape(c.shape)
+    line_mass = x.sum(axis=1)
+    shortfall = np.divide(b.reshape(c.shape).sum(axis=1) - line_mass, line_mass,
+                          out=np.zeros_like(line_mass), where=line_mass > 0.0)
+    x += x * shortfall[:, None]
+    return x
 
 
 def step_charges(v, w, phi, u, dt):

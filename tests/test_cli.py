@@ -30,8 +30,10 @@ class TestExitCodes:
     def test_config_error_maps_to_one(self, tmp_path, capsys):
         percent = tmp_path / "percent.cfg"
         percent.write_text("[grid]\nnx = 8%x\n")
+        negative = ["--preset", "near-equilibrium", "--set", "grid.nx=16",
+                    "--set", "grid.ny=16", "--set", "initial.eps=5"]
         for bad in (["--set", "time.dt=-1"], ["--set", "tolerances.poisson=nan"],
-                    ["--config", str(percent)]):
+                    ["--config", str(percent)], negative):
             code = cli.main(["run", *bad, "--out", str(tmp_path / "out")])
             assert code == 1
             err = capsys.readouterr().err.splitlines()

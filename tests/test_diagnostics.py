@@ -15,23 +15,19 @@ from ehd2d import (
     MacVectorField,
     ScalarField,
     SystemState,
-    csiszar_check,
+    apply_dirichlet_laplacian,
     embed_stationary,
     energy_report,
     entropy_production,
-    error_norms,
     fit_decay,
     grad_norm_sq,
     h1_seminorm,
     integrate,
-    linearized_energy,
     psi,
-    relative_entropy,
     solve_dirichlet,
     solve_pb,
     total_energy,
     weighted_poincare_estimate,
-    wwrel_check,
 )
 from ehd2d.diagnostics import CSV_COLUMNS, csv_header, csv_row
 from ehd2d.errors import EmptyWindow, NonpositiveValues
@@ -149,9 +145,11 @@ class TestRelativeEntropy:
         stationary ones (the cross terms telescope by duality)."""
         g = Grid2D(28, 28)
         s = solve_pb(0.05, 0.1, g)
+        w_inf = total_energy(embed_stationary(s)).W
         for seed in range(5):
             st = random_system_state(seed, g)
-            w_rel, w, w_inf = wwrel_check(st, s)
+            rep = energy_report(st, s)
+            w_rel, w = rep.W_rel, rep.W
             assert w_rel == pytest.approx(w - w_inf, abs=1e-10 * (1 + abs(w))), (
                 f"seed {seed}: w_rel {w_rel} vs w - w_inf {w - w_inf}"
             )
@@ -159,14 +157,14 @@ class TestRelativeEntropy:
     def test_zero_at_equilibrium(self):
         s = solve_pb(0.05, 0.1, Grid2D(24, 24))
         st = embed_stationary(s)
-        assert relative_entropy(st, s) == pytest.approx(0.0, abs=1e-13)
+        assert energy_report(st, s).W_rel == pytest.approx(0.0, abs=1e-13)
 
     def test_nonnegative(self):
         g = Grid2D(20, 20)
         s = solve_pb(0.08, 0.2, g)
         for seed in range(8):
             st = random_system_state(seed + 50, g, M=0.08, N=0.2)
-            assert relative_entropy(st, s) >= 0.0
+            assert energy_report(st, s).W_rel >= 0.0
 
 
 class TestQuadraticEnergy:
@@ -176,8 +174,8 @@ class TestQuadraticEnergy:
         s = solve_pb(0.05, 0.1, g)
         for seed in range(6):
             st = random_system_state(seed + 7, g)
-            e2 = error_norms(st, s, 2)
-            lin = linearized_energy(st, s)
+            rep = energy_report(st, s)
+            e2, lin = rep.E2, rep.L
             assert e2 == pytest.approx(2.0 * lin, rel=1e-13), f"seed {seed}"
 
     def test_wrel_approaches_linearized_near_equilibrium(self):
@@ -195,8 +193,8 @@ class TestQuadraticEnergy:
             phi = solve_dirichlet(ScalarField(g, v - w))
             st = SystemState(MacVectorField.zeros(g), ScalarField.zeros(g),
                              ScalarField(g, v), ScalarField(g, w), phi)
-            wr = relative_entropy(st, s)
-            lin = linearized_energy(st, s)
+            rep = energy_report(st, s)
+            wr, lin = rep.W_rel, rep.L
             gaps.append(abs(wr - lin) / lin)
         assert gaps[0] <= 1e-2, f"gap {gaps[0]} at eps 1e-2"
         assert gaps[1] <= 2e-3, f"gap {gaps[1]} at eps 1e-3"
@@ -212,14 +210,7 @@ class TestQuadraticEnergy:
                        + np.abs(st.w.data - s.w.data).sum())
             + h1_seminorm(ScalarField(g, st.phi.data - s.phi.data), dirichlet=True)
         )
-        assert error_norms(st, s, 1) == pytest.approx(manual, rel=1e-13)
-
-    def test_p_validated(self):
-        g = Grid2D(8, 8)
-        s = solve_pb(0.1, 0.1, g)
-        st = embed_stationary(s)
-        with pytest.raises(ValueError):
-            error_norms(st, s, 3)
+        assert energy_report(st, s).E1 == pytest.approx(manual, rel=1e-13)
 
 
 class TestCsiszarKullback:
@@ -231,7 +222,8 @@ class TestCsiszarKullback:
             N = 10.0 ** rng.uniform(-2, 0.3)
             s = solve_pb(M, N, g)
             st = random_system_state(1000 + trial, g, M=M, N=N)
-            lhs, rhs = csiszar_check(st, s)
+            rep = energy_report(st, s)
+            lhs, rhs = rep.ck_lhs, rep.W_rel
             assert lhs <= 4.0 * rhs * (1 + 1e-12) + 1e-14, (
                 f"trial {trial} (M={M:.3g}, N={N:.3g}): {lhs} > 4*{rhs}"
             )
@@ -247,7 +239,8 @@ class TestCsiszarKullback:
         phi = solve_dirichlet(ScalarField(g, v - s.w.data))
         st = SystemState(MacVectorField.zeros(g), ScalarField.zeros(g),
                          ScalarField(g, v), s.w.copy(), phi)
-        lhs, rhs = csiszar_check(st, s)
+        rep = energy_report(st, s)
+        lhs, rhs = rep.ck_lhs, rep.W_rel
         assert lhs <= 4.0 * rhs, f"{lhs} > {4*rhs}"
 
     def test_tight_factor_not_violated_near_equilibrium(self):
@@ -260,7 +253,8 @@ class TestCsiszarKullback:
         phi = solve_dirichlet(ScalarField(g, v - s.w.data))
         st = SystemState(MacVectorField.zeros(g), ScalarField.zeros(g),
                          ScalarField(g, v), s.w.copy(), phi)
-        lhs, rhs = csiszar_check(st, s)
+        rep = energy_report(st, s)
+        lhs, rhs = rep.ck_lhs, rep.W_rel
         assert lhs <= 4.0 * rhs
 
 
@@ -387,12 +381,37 @@ class TestEnergyReport:
         rep = energy_report(st, s)
         assert rep.lady_ratio == 0.0
 
-    def test_report_consistent_with_direct_calls(self):
-        g = Grid2D(16, 16)
+    def test_report_matches_manual_quadrature(self):
+        """W_rel, L, E1, E2 and ck_lhs against cell-sum quadrature written
+        out here; H is the quadratic form -<d, Lap_h d> of the Dirichlet
+        Laplacian, which the ghost-gradient seminorm equals exactly."""
+        g = Grid2D(16, 12, 1.3, 0.9)
         s = solve_pb(0.05, 0.1, g)
-        st = random_system_state(8, g)
-        rep = energy_report(st, s)
-        assert rep.W == pytest.approx(total_energy(st).W, rel=1e-14)
-        assert rep.W_rel == pytest.approx(relative_entropy(st, s), rel=1e-14)
-        assert rep.production == pytest.approx(entropy_production(st), rel=1e-14)
-        assert rep.mass_v == pytest.approx(integrate(st.v), rel=1e-14)
+        for seed, with_velocity in ((8, True), (9, False)):
+            st = random_system_state(seed, g, with_velocity=with_velocity)
+            rep = energy_report(st, s)
+            vol = g.vol
+            v, w, vi, wi = st.v.data, st.w.data, s.v.data, s.w.data
+            K = 0.5 * vol * ((st.u.ux ** 2).sum() + (st.u.uy ** 2).sum())
+            d = ScalarField(g, st.phi.data - s.phi.data)
+            H = -vol * float((d.data * apply_dirichlet_laplacian(d).data).sum())
+            ent = vol * ((v * np.log(v / vi) - v + vi).sum()
+                         + (w * np.log(w / wi) - w + wi).sum())
+            l1v = vol * np.abs(v - vi).sum()
+            l1w = vol * np.abs(w - wi).sum()
+            q = vol * (((v - vi) ** 2 / vi).sum() + ((w - wi) ** 2 / wi).sum())
+            expect = {
+                "W_rel": ent + 0.5 * H + K,
+                "L": K + 0.5 * q + 0.5 * H,
+                "E1": 2.0 * K + l1v + l1w + H,
+                "E2": 2.0 * K + q + H,
+                "ck_lhs": l1v ** 2 + l1w ** 2 + H + 2.0 * K,
+            }
+            for name, value in expect.items():
+                assert getattr(rep, name) == pytest.approx(value, rel=1e-12), (
+                    f"{name}, velocity {with_velocity}"
+                )
+            assert (rep.kinetic == 0.0) != with_velocity
+            assert rep.W == pytest.approx(total_energy(st).W, rel=1e-14)
+            assert rep.production == pytest.approx(entropy_production(st), rel=1e-14)
+            assert rep.mass_v == pytest.approx(integrate(st.v), rel=1e-14)
