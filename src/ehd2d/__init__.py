@@ -30,7 +30,6 @@ from .poisson import (
 )
 from .transport import (
     bernoulli,
-    sg_face_flux,
     step_charges,
     transport_generator,
 )
@@ -73,8 +72,7 @@ __all__ = [
     "kinetic_energy", "load_matrix", "lp_norm", "save_matrix",
     "apply_dirichlet_laplacian", "laplacian_matrix",
     "solve_dirichlet", "solve_neumann",
-    "bernoulli", "sg_face_flux", "step_charges",
-    "transport_generator",
+    "bernoulli", "step_charges", "transport_generator",
     "body_force", "ladyzhenskaya_ratio", "step_velocity",
     "StationarySolution", "functional_J", "sinh_form_check", "solve_pb",
     "stationary_pressure_check",

@@ -12,7 +12,9 @@ diffusion/drift part of the face flux uses the Scharfetter-Gummel weights
 which vanish identically on the discrete Boltzmann profile (c proportional
 to e^{phi} for s = -1, e^{-phi} for s = +1), so the scheme's steady states
 are the exact discrete Maxwellians rather than second-order approximations
-of them. Advection uses first-order upwinding.
+of them. Both species share one B(dpsi), B(-dpsi) pair per face: the cation
+weights cL by B(-dpsi) and cR by B(dpsi), the anion the reverse. Advection
+uses first-order upwinding.
 
 The step is split backward Euler (Lie/Yanenko fractional steps): with the
 potential and velocity frozen at the step's start, the flux divergence is
@@ -71,23 +73,15 @@ def bernoulli(x):
     return out
 
 
-def sg_face_flux(cL, cR, dpsi, h, sign):
-    """Scharfetter-Gummel flux across one face, dpsi = phi_R - phi_L.
+def _sweep_bands(phi, u, direction):
+    """Generators L_x or L_y of both species across the faces of one orientation.
 
-    Reduces to the central diffusive flux (cL - cR)/h when dpsi = 0 and to
-    pure upwind drift in the large-|dpsi| limit.
-    """
-    return (bernoulli(sign * dpsi) * cL - bernoulli(-sign * dpsi) * cR) / h
-
-
-def _sweep_bands(phi, u, sign, direction):
-    """Generator L_x or L_y of the fluxes across the faces of one orientation.
-
-    Returns the bands (upper, lower) with one grid line per row: the rows of
-    the grid for direction "x", its columns (transposed arrays) for "y".
-    Within a line, upper[:, i] = L[i-1, i] and lower[:, i] = L[i+1, i]; the
-    diagonal is -(upper + lower), so every column sums to zero. The line
-    ends carry zeros, which is the discrete no-flux condition.
+    Returns {CATION_SIGN: (upper, lower), ANION_SIGN: (upper, lower)}, one
+    grid line per row: the rows of the grid for direction "x", its columns
+    (transposed arrays) for "y". Within a line, upper[:, i] = L[i-1, i] and
+    lower[:, i] = L[i+1, i]; the diagonal is -(upper + lower), so every
+    column sums to zero. The line ends carry zeros, which is the discrete
+    no-flux condition.
     """
     g = phi.grid
     if direction == "x":
@@ -95,14 +89,17 @@ def _sweep_bands(phi, u, sign, direction):
     else:
         ph, uf, h = phi.data.T, u.uy[1:-1, :].T, g.hy
     dpsi = np.diff(ph, axis=1)
+    b_plus, b_minus = bernoulli(dpsi) / h, bernoulli(-dpsi) / h
+    up_l, up_r = np.maximum(uf, 0.0), np.maximum(-uf, 0.0)
+    bands = {}
     # a multiplies cL, b multiplies cR in the face flux F = a cL - b cR
-    a = bernoulli(sign * dpsi) / h + np.maximum(uf, 0.0)
-    b = bernoulli(-sign * dpsi) / h + np.maximum(-uf, 0.0)
-    upper = np.zeros(ph.shape)
-    lower = np.zeros(ph.shape)
-    upper[:, 1:] = b / h
-    lower[:, :-1] = a / h
-    return upper, lower
+    for sign, a, b in ((CATION_SIGN, b_minus, b_plus), (ANION_SIGN, b_plus, b_minus)):
+        upper = np.zeros(ph.shape)
+        lower = np.zeros(ph.shape)
+        upper[:, 1:] = (b + up_r) / h
+        lower[:, :-1] = (a + up_l) / h
+        bands[sign] = upper, lower
+    return bands
 
 
 def transport_generator(phi, u, sign):
@@ -117,7 +114,7 @@ def transport_generator(phi, u, sign):
     idx = np.arange(n).reshape(g.ny, g.nx)
     rows, cols, vals = [], [], []
     for direction, lines in (("x", idx), ("y", idx.T)):
-        upper, lower = _sweep_bands(phi, u, sign, direction)
+        upper, lower = _sweep_bands(phi, u, direction)[sign]
         rows += [a.ravel() for a in (lines[:, :-1], lines, lines[:, 1:])]
         cols += [a.ravel() for a in (lines[:, 1:], lines, lines[:, :-1])]
         vals += [a.ravel() for a in (upper[:, 1:], -(upper + lower), lower[:, :-1])]
@@ -172,9 +169,10 @@ def step_charges(v, w, phi, u, dt):
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    bx, by = _sweep_bands(phi, u, "x"), _sweep_bands(phi, u, "y")
     out = []
     for c, sign in ((v, CATION_SIGN), (w, ANION_SIGN)):
-        cx = _sweep(c.data, *_sweep_bands(phi, u, sign, "x"), dt)
-        cy = _sweep(cx.T, *_sweep_bands(phi, u, sign, "y"), dt).T
+        cx = _sweep(c.data, *bx[sign], dt)
+        cy = _sweep(cx.T, *by[sign], dt).T
         out.append(ScalarField(v.grid, cy))
     return tuple(out)

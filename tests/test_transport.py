@@ -9,6 +9,8 @@ generator they split and against a sparse LU of their own matrices. One
 coupled sim.step is checked on the same rough data.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,6 @@ from ehd2d import (
     div_from_faces,
     integrate,
     laplacian_matrix,
-    sg_face_flux,
     solve_dirichlet,
     step_charges,
     total_energy,
@@ -66,41 +67,54 @@ class TestBernoulli:
         assert out[1] == 1.0
 
 
+def face_fluxes(c, phi, sign, h):
+    """Fluxes across the interior x faces of a 3x3 grid of spacing h with
+    u = 0, from the sweep bands: face (j, i) carries
+    h (lower[j, i] c[j, i] - upper[j, i+1] c[j, i+1])."""
+    g = Grid2D(3, 3, 3 * h, 3 * h)
+    upper, lower = transport._sweep_bands(
+        ScalarField(g, phi), MacVectorField.zeros(g), "x")[sign]
+    return h * (lower[:, :-1] * c[:, :-1] - upper[:, 1:] * c[:, 1:])
+
+
+def assert_zero_flux_on_maxwellian(sign, rng):
+    """The species' Boltzmann profile c = e^{-sign phi} across jumps dpsi
+    in [-50, 50]."""
+    for _ in range(200):
+        phi_l = rng.uniform(-3, 3)
+        dpsi = rng.uniform(-50, 50)
+        phi = np.tile(phi_l + dpsi * np.arange(3.0), (3, 1))
+        c = np.exp(-sign * phi)
+        f = face_fluxes(c, phi, sign, 0.05)
+        scale = (np.abs(c[:, :-1]) + np.abs(c[:, 1:])) / 0.05
+        assert np.all(np.abs(f) <= 1e-12 * scale), f"dpsi={dpsi}: flux {f}"
+
+
 class TestFaceFlux:
     def test_pure_diffusion(self):
         """No field: the flux is the plain two-point difference,
         (2 - 1)/0.1 = 10."""
-        assert sg_face_flux(2.0, 1.0, 0.0, 0.1, CATION_SIGN) == pytest.approx(10.0)
-        assert sg_face_flux(2.0, 1.0, 0.0, 0.1, ANION_SIGN) == pytest.approx(10.0)
+        c = np.tile([2.0, 1.0, 0.0], (3, 1))
+        for sign in (CATION_SIGN, ANION_SIGN):
+            f = face_fluxes(c, np.zeros((3, 3)), sign, 0.1)[:, 0]
+            assert f == pytest.approx(np.full(3, 10.0))
 
     def test_exact_on_cation_maxwellian(self):
         """Cells sampling c = e^{+phi} carry zero cation flux for any jump."""
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            phi_l = rng.uniform(-3, 3)
-            dpsi = rng.uniform(-50, 50)
-            c_l, c_r = np.exp(phi_l), np.exp(phi_l + dpsi)
-            f = sg_face_flux(c_l, c_r, dpsi, 0.05, CATION_SIGN)
-            scale = (abs(c_l) + abs(c_r)) / 0.05
-            assert abs(f) <= 1e-12 * scale, f"dpsi={dpsi}: flux {f}"
+        assert_zero_flux_on_maxwellian(CATION_SIGN, np.random.default_rng(1))
 
     def test_exact_on_anion_maxwellian(self):
         """Cells sampling c = e^{-phi} carry zero anion flux."""
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            phi_l = rng.uniform(-3, 3)
-            dpsi = rng.uniform(-50, 50)
-            c_l, c_r = np.exp(-phi_l), np.exp(-(phi_l + dpsi))
-            f = sg_face_flux(c_l, c_r, dpsi, 0.05, ANION_SIGN)
-            scale = (abs(c_l) + abs(c_r)) / 0.05
-            assert abs(f) <= 1e-12 * scale, f"dpsi={dpsi}: flux {f}"
+        assert_zero_flux_on_maxwellian(ANION_SIGN, np.random.default_rng(2))
 
     def test_reduces_to_upwind_for_strong_fields(self):
         """For a huge potential drop the flux is the drift of the upstream
         cell only."""
-        f = sg_face_flux(3.0, 5.0, -40.0, 0.1, ANION_SIGN)
+        phi = np.tile([0.0, -40.0, -80.0], (3, 1))
+        c = np.tile([3.0, 5.0, 0.0], (3, 1))
+        f = face_fluxes(c, phi, ANION_SIGN, 0.1)[:, 0]
         # anion drift runs down its own potential: B(-40)*3 - B(40)*5 over h
-        assert f == pytest.approx(40.0 * 3.0 / 0.1, rel=1e-10)
+        assert f == pytest.approx(np.full(3, 40.0 * 3.0 / 0.1), rel=1e-10)
 
 
 def random_setup(seed, nx=20, ny=15):
@@ -269,7 +283,7 @@ class TestSweeps:
         and transport_generator share one set of face weights."""
         for g, phi, u, sign, lines in sweep_setups():
             parts = [
-                natural_order(line_matrix(*transport._sweep_bands(phi, u, sign, d)), lines[d])
+                natural_order(line_matrix(*transport._sweep_bands(phi, u, d)[sign]), lines[d])
                 for d in ("x", "y")
             ]
             L = transport_generator(phi, u, sign)
@@ -278,7 +292,7 @@ class TestSweeps:
     def test_sweep_generators_conservative_with_nonnegative_couplings(self):
         for g, phi, u, sign, lines in sweep_setups():
             for d in ("x", "y"):
-                upper, lower = transport._sweep_bands(phi, u, sign, d)
+                upper, lower = transport._sweep_bands(phi, u, d)[sign]
                 T = line_matrix(upper, lower)
                 colsum = np.asarray(T.sum(axis=0)).ravel()
                 scale = np.abs(T).max()
@@ -301,7 +315,7 @@ class TestSweeps:
         rng = np.random.default_rng(int(np.log10(dt)) + 10)
         for g, phi, u, sign, _ in sweep_setups():
             for d in ("x", "y"):
-                upper, lower = transport._sweep_bands(phi, u, sign, d)
+                upper, lower = transport._sweep_bands(phi, u, d)[sign]
                 c = rng.uniform(0.0, 3.0, upper.shape)
                 got = transport._sweep(c, upper, lower, dt)
                 M = (sp.identity(c.size) - dt * line_matrix(upper, lower)).tocsc()
@@ -391,3 +405,38 @@ class TestStepProperties:
         assert np.sqrt(g.vol * (r @ r)) <= 1e-10 * (1.0 + np.sqrt(g.vol * (rhs @ rhs)))
         W0 = total_energy(state).W
         assert total_energy(out).W <= W0 + 1e-12 * (1 + abs(W0))
+
+
+def reference_bands(phi, u, sign, direction):
+    """One species' sweep bands by the sign-threaded formula, two Bernoulli
+    evaluations per species and direction."""
+    g = phi.grid
+    if direction == "x":
+        ph, uf, h = phi.data, u.ux[:, 1:-1], g.hx
+    else:
+        ph, uf, h = phi.data.T, u.uy[1:-1, :].T, g.hy
+    dpsi = np.diff(ph, axis=1)
+    a = bernoulli(sign * dpsi) / h + np.maximum(uf, 0.0)
+    b = bernoulli(-sign * dpsi) / h + np.maximum(-uf, 0.0)
+    upper = np.zeros(ph.shape)
+    lower = np.zeros(ph.shape)
+    upper[:, 1:] = b / h
+    lower[:, :-1] = a / h
+    return upper, lower
+
+
+class TestSharedBands:
+    @PROPERTY_SETTINGS
+    @given(transport_cases())
+    def test_step_matches_per_species_bands_with_four_bernoulli_calls(self, case):
+        """Both species read their bands from one B(dpsi), B(-dpsi) pair per
+        face: the step is bit for bit the per-species formula, and makes one
+        pair of Bernoulli evaluations per direction."""
+        g, v, w, phi, u, dt = case
+        with mock.patch.object(transport, "bernoulli", wraps=transport.bernoulli) as spy:
+            got = step_charges(v, w, phi, u, dt)
+        assert spy.call_count == 4
+        for c, sign, out in ((v, CATION_SIGN, got[0]), (w, ANION_SIGN, got[1])):
+            cx = transport._sweep(c.data, *reference_bands(phi, u, sign, "x"), dt)
+            ref = transport._sweep(cx.T, *reference_bands(phi, u, sign, "y"), dt).T
+            assert np.array_equal(out.data, ref), f"sign {sign}, dt={dt}"
