@@ -179,9 +179,7 @@ def _cmd_check(args):
     dt = min(config.dt, dt_cap)
     for _ in range(burst):
         dt = min(dt, sim.cfl_limit(cur, config.cfl_safety))
-        cur = sim.step(cur, dt, tol_poisson=config.tol_poisson,
-                       tol_projection=config.tol_projection,
-                       cfl_safety=config.cfl_safety)
+        cur = sim.step(cur, dt, cfl_safety=config.cfl_safety)
         rep = energy_report(cur, equilibrium)
         ok_mass &= abs(rep.mass_v - config.M) <= 1e-11 * config.M
         ok_mass &= abs(rep.mass_w - config.N) <= 1e-11 * config.N

@@ -81,7 +81,7 @@ def total_energy(state):
     """The four components of W and their sum."""
     entropy_v = _entropy_integral(state.v, 1.0)
     entropy_w = _entropy_integral(state.w, 1.0)
-    electric = 0.5 * h1_seminorm(state.phi, dirichlet=True)
+    electric = 0.5 * h1_seminorm(state.phi)
     kinetic = kinetic_energy(state.u)
     return EnergyBreakdown(
         entropy_v, entropy_w, electric, kinetic,
@@ -288,8 +288,7 @@ def energy_report(state, s):
     vol = state.v.grid.vol
     parts = total_energy(state)
     kin = parts.kinetic
-    h1 = h1_seminorm(ScalarField(state.phi.grid, state.phi.data - s.phi.data),
-                     dirichlet=True)
+    h1 = h1_seminorm(ScalarField(state.phi.grid, state.phi.data - s.phi.data))
     dv = state.v.data - s.v.data
     dw = state.w.data - s.w.data
     l1v = float(np.abs(dv).sum())

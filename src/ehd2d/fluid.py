@@ -94,7 +94,7 @@ def _advect(u):
     return adv_x, adv_y
 
 
-def step_velocity(u, f, dt, proj_tol=1e-10):
+def step_velocity(u, f, dt):
     """One projection step of the velocity u under the face force f.
 
     Returns (u_new, p) with p the zero-mean projection pressure.
@@ -119,7 +119,7 @@ def step_velocity(u, f, dt, proj_tol=1e-10):
     u2.ux[:, 1:-1] = visc_x + dt * f.ux[:, 1:-1]
     u2.uy[1:-1, :] = visc_y + dt * f.uy[1:-1, :]
 
-    q = solve_neumann(div_from_faces(u2), tol=proj_tol)
+    q = solve_neumann(div_from_faces(u2))
     gq = grad_to_faces(q)
     u_new = MacVectorField(g, u2.ux - gq.ux, u2.uy - gq.uy)
 

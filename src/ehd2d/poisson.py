@@ -24,7 +24,9 @@ side must then have zero integral.
 
 solve_dirichlet and solve_neumann check the residual of every solve with
 the matrix-free stencil in the grid L2 norm sqrt(hx*hy*sum(r^2)) against
-tol * (1 + |rhs|), so tolerances mean the same thing on every mesh.
+the rounding a direct solve leaves, grid.ROUNDING * (|rhs| + ||Lap_h|| |x|)
+with ||Lap_h|| <= 4/hx^2 + 4/hy^2, so the check means the same thing on
+every mesh and still catches a wrong solve.
 laplacian_matrix assembles the same operator for the Newton solve of the
 stationary module and for the diagnostics.
 """
@@ -36,9 +38,7 @@ from scipy import fft
 from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import Incompatible, NonConvergence
-from .grid import ScalarField, integrate
-
-_DEFAULT_TOL = 1e-10
+from .grid import ROUNDING, ScalarField, integrate
 
 # ghost cell beyond the wall = sign * interior cell next to it
 _GHOST_SIGN = {"dirichlet": -1.0, "neumann": 1.0, "value": 0.0}
@@ -134,7 +134,7 @@ def _grid_l2(grid, r):
     return float(np.sqrt(grid.vol * np.vdot(r, r)))
 
 
-def _solve(rhs, boundary, tol, scale, what):
+def _solve(rhs, boundary, what):
     """Transform solve of Lap_h x = rhs with its residual check."""
     grid = rhs.grid
     b = rhs.data
@@ -143,33 +143,25 @@ def _solve(rhs, boundary, tol, scale, what):
     if boundary == "neumann":
         r -= r.mean()  # residual in the mean-zero subspace
     res = _grid_l2(grid, r)
-    if res > tol * scale:
+    norm_lap = 4.0 / (grid.hx * grid.hx) + 4.0 / (grid.hy * grid.hy)
+    if res > ROUNDING * (_grid_l2(grid, b) + norm_lap * _grid_l2(grid, x)):
         raise NonConvergence(1, res, what)
     return ScalarField(grid, x)
 
 
-def solve_dirichlet(rhs, tol=_DEFAULT_TOL):
-    """Solve Lap_h phi = rhs with homogeneous Dirichlet walls.
-
-    Returns phi with grid-L2 residual at most tol * (1 + |rhs|_2).
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    scale = 1.0 + _grid_l2(rhs.grid, rhs.data)
-    return _solve(rhs, "dirichlet", tol, scale, "Dirichlet Poisson solve")
+def solve_dirichlet(rhs):
+    """Solve Lap_h phi = rhs with homogeneous Dirichlet walls."""
+    return _solve(rhs, "dirichlet", "Dirichlet Poisson solve")
 
 
-def solve_neumann(rhs, tol=_DEFAULT_TOL):
+def solve_neumann(rhs):
     """Solve Lap_h p = rhs with homogeneous Neumann walls, zero-mean output.
 
     The right-hand side must integrate to zero (up to 1e-10, scaled by its
     own size); otherwise the singular system has no solution and
     Incompatible is raised.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     mass = integrate(rhs)
-    scale = 1.0 + _grid_l2(rhs.grid, rhs.data)
-    if abs(mass) > 1e-10 * scale:
+    if abs(mass) > 1e-10 * (1.0 + _grid_l2(rhs.grid, rhs.data)):
         raise Incompatible(mass)
-    return _solve(rhs, "neumann", tol, scale, "Neumann Poisson solve")
+    return _solve(rhs, "neumann", "Neumann Poisson solve")

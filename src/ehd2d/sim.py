@@ -108,9 +108,7 @@ DEFAULTS = {
     ("time", "dt"): 1e-3,
     ("time", "t_max"): 1.0,
     ("time", "cfl_safety"): 0.9,
-    ("tolerances", "poisson"): 1e-10,
     ("tolerances", "pb"): 1e-10,
-    ("tolerances", "projection"): 1e-10,
     ("initial", "preset"): "symmetric-null",
     ("initial", "M"): 0.1,
     ("initial", "N"): 0.1,
@@ -126,9 +124,7 @@ DEFAULTS = {
 
 # SimConfig attribute of each key whose attribute is not the key's own name
 _RENAMED = {
-    ("tolerances", "poisson"): "tol_poisson",
     ("tolerances", "pb"): "tol_pb",
-    ("tolerances", "projection"): "tol_projection",
     ("output", "dir"): "outdir",
 }
 
@@ -195,9 +191,8 @@ class SimConfig:
             raise ConfigError("output.record_every must be at least 1")
         if self.snapshot_every < 0:
             raise ConfigError("output.snapshot_every must be nonnegative")
-        for tol in (self.tol_poisson, self.tol_pb, self.tol_projection):
-            if tol <= 0.0:
-                raise ConfigError("tolerances must be positive")
+        if self.tol_pb <= 0.0:
+            raise ConfigError("tolerances.pb must be positive")
         try:
             self.grid = Grid2D(self.nx, self.ny, self.lx, self.ly)
         except ValueError as exc:
@@ -337,7 +332,7 @@ def build_initial_state(config, equilibrium=None):
     if v0.data.min() < 0.0 or w0.data.min() < 0.0:
         raise ConfigError("initial charge densities contain negative values")
     rhs = ScalarField(grid, v0.data - w0.data)
-    phi0 = solve_dirichlet(rhs, tol=config.tol_poisson)
+    phi0 = solve_dirichlet(rhs)
     return SystemState(u0, ScalarField.zeros(grid), v0, w0, phi0, 0.0)
 
 
@@ -359,11 +354,13 @@ def cfl_limit(state, cfl_safety=1.0):
     return cfl_safety * min(g.hx, g.hy) / speed
 
 
-def step(state, dt, tol_poisson=1e-10, tol_projection=1e-10, cfl_safety=1.0):
+def step(state, dt, cfl_safety=1.0):
     """Advance one step of the lagged splitting; raises CflViolation when dt is too big.
 
     state.phi must be the Poisson solve of state.v - state.w (see
-    SystemState); it is used as given, not recomputed.
+    SystemState); it is used as given, not recomputed. Every solve is direct
+    and checks its residual against its own rounding (grid.ROUNDING), so the
+    step has no tolerance to set; a solve that misses it raises NonConvergence.
     """
     limit = cfl_limit(state, cfl_safety)
     if dt > limit * (1.0 + 1e-9):
@@ -371,9 +368,9 @@ def step(state, dt, tol_poisson=1e-10, tol_projection=1e-10, cfl_safety=1.0):
 
     v, w = step_charges(state.v, state.w, state.phi, state.u, dt)
     f = body_force(v, w, state.phi)
-    u, p = step_velocity(state.u, f, dt, proj_tol=tol_projection)
+    u, p = step_velocity(state.u, f, dt)
 
-    phi = solve_dirichlet(ScalarField(state.grid, v.data - w.data), tol=tol_poisson)
+    phi = solve_dirichlet(ScalarField(state.grid, v.data - w.data))
     return SystemState(u, p, v, w, phi, state.t + dt)
 
 
@@ -443,9 +440,7 @@ def run(config, write_outputs=True):
             dt = min(config.dt, cfl_limit(state, config.cfl_safety),
                      config.t_max - state.t)
             try:
-                state = step(state, dt, tol_poisson=config.tol_poisson,
-                             tol_projection=config.tol_projection,
-                             cfl_safety=config.cfl_safety)
+                state = step(state, dt, cfl_safety=config.cfl_safety)
             except SolverError as exc:
                 exc.args = (f"step {nstep + 1} (t = {state.t:.9g}, dt = {dt:.6g}): {exc}",)
                 raise

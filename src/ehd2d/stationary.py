@@ -95,7 +95,7 @@ def functional_J(phi, M, N):
     z = phi.data.ravel()
     vol = phi.grid.vol
     return (
-        0.5 * h1_seminorm(phi, dirichlet=True)
+        0.5 * h1_seminorm(phi)
         + M * _log_int_exp(z, vol)
         + N * _log_int_exp(-z, vol)
     )

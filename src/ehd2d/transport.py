@@ -45,7 +45,7 @@ from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import NonConvergence
-from .grid import ScalarField
+from .grid import ROUNDING, ScalarField
 
 CATION_SIGN = -1
 ANION_SIGN = +1
@@ -134,18 +134,25 @@ def _sweep(c, upper, lower, dt):
     ab[0] = -dt * upper.ravel()
     ab[2] = -dt * lower.ravel()
     ab[1] = 1.0 - ab[0] - ab[2]
+    # ||I - dt L||_1, the largest column sum of magnitudes (the bands off the
+    # diagonal are nonpositive)
+    norm_m = float((ab[1] - ab[0] - ab[2]).max())
     b = c.ravel()
     # non-finite input ends in the residual check below, as a NonConvergence
     x = solve_banded((1, 1), ab, b, check_finite=False)
     r = ab[1] * x - b
     r[:-1] += ab[0, 1:] * x[1:]
     r[1:] += ab[2, :-1] * x[:-1]
+    # a direct solve leaves a residual of about eps * (|b| + ||I - dt L|| |x|),
+    # which grows with dt; the bound follows it, so no dt is too large
     res = np.linalg.norm(r)
-    if not np.isfinite(res) or res > 1e-8 * (1.0 + np.linalg.norm(b)):
+    bound = ROUNDING * (np.linalg.norm(b) + norm_m * np.linalg.norm(x))
+    if not np.isfinite(res) or res > bound:
         raise NonConvergence(1, float(res), "charge transport solve")
     # M-matrix structure makes the exact solution nonnegative; wipe the
-    # rounding dust so downstream logs never see -1e-22.
-    floor = -1e-12 * (1.0 + float(np.abs(x).max()))
+    # rounding dust, at most ROUNDING * ||I - dt L|| * max|x| deep, so
+    # downstream logs never see -1e-22.
+    floor = -ROUNDING * norm_m * float(np.abs(x).max())
     if x.min() < floor:
         raise NonConvergence(1, float(x.min()), "charge positivity")
     np.maximum(x, 0.0, out=x)

@@ -32,7 +32,9 @@ class TestExitCodes:
         percent.write_text("[grid]\nnx = 8%x\n")
         negative = ["--preset", "near-equilibrium", "--set", "grid.nx=16",
                     "--set", "grid.ny=16", "--set", "initial.eps=5"]
-        for bad in (["--set", "time.dt=-1"], ["--set", "tolerances.poisson=nan"],
+        for bad in (["--set", "time.dt=-1"], ["--set", "tolerances.pb=nan"],
+                    ["--set", "tolerances.poisson=1e-8"],
+                    ["--set", "tolerances.projection=1e-8"],
                     ["--config", str(percent)], negative):
             code = cli.main(["run", *bad, "--out", str(tmp_path / "out")])
             assert code == 1
@@ -147,6 +149,25 @@ class TestRunCommand:
                              "--set", "time.t_max=0.01",
                              "--out", str(tmp_path / "out")])
         assert code == 0
+
+    def test_equal_charge_files_take_any_dt(self, tmp_path):
+        """One rough charge file for both species gives phi = 0, so no CFL
+        cap applies: a single step of dt = 1e4 ends normally with the mass
+        held to rounding."""
+        path = str(tmp_path / "c.txt")
+        c = np.random.default_rng(5).uniform(0.0, 1.0, (128, 128))
+        c[c < 0.3] = 0.0
+        save_matrix(path, c)
+        out = tmp_path / "out"
+        code = cli.main(["run", "--quiet", "--set", "grid.nx=128", "--set", "grid.ny=128",
+                         "--set", f"initial.v_file={path}",
+                         "--set", f"initial.w_file={path}",
+                         "--set", "time.dt=1e4", "--set", "time.t_max=1e4",
+                         "--out", str(out)])
+        assert code == 0
+        rows = np.loadtxt(out / "diagnostics.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows[:, 0].tolist() == [0.0, 1e4]
+        assert rows[1, 1] == pytest.approx(rows[0, 1], rel=1e-12, abs=0.0)
 
     def test_config_file_round_trip(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

@@ -96,7 +96,7 @@ class TestEnergyDecomposition:
         st = random_system_state(6, g)
         parts = total_energy(st)
         assert parts.electric == pytest.approx(
-            0.5 * h1_seminorm(st.phi, dirichlet=True), rel=1e-14)
+            0.5 * h1_seminorm(st.phi), rel=1e-14)
 
     def test_uniform_neutral_state_has_entropy_only(self):
         g = Grid2D(16, 16, 2.0, 2.0)
@@ -208,7 +208,7 @@ class TestQuadraticEnergy:
             2.0 * 0.5 * g.vol * ((st.u.ux ** 2).sum() + (st.u.uy ** 2).sum())
             + g.vol * (np.abs(st.v.data - s.v.data).sum()
                        + np.abs(st.w.data - s.w.data).sum())
-            + h1_seminorm(ScalarField(g, st.phi.data - s.phi.data), dirichlet=True)
+            + h1_seminorm(ScalarField(g, st.phi.data - s.phi.data))
         )
         assert energy_report(st, s).E1 == pytest.approx(manual, rel=1e-13)
 

@@ -185,24 +185,12 @@ class TestDiscreteCalculus:
         assert gr.ux[0, 0] == pytest.approx(2.0 / g.hx)
         assert gr.ux[0, -1] == pytest.approx(-2.0 / g.hx)
 
-    def test_h1_seminorm_linear(self):
-        """Interior-face seminorm of f(x,y)=x is (nx-1)/nx, approaching the
-        continuum value 1 as the grid refines."""
-        for nx in (16, 64, 256):
-            g = Grid2D(nx, 8)
-            f = ScalarField.from_function(g, lambda x, y: x)
-            expect = (nx - 1) / nx
-            got = h1_seminorm(f)
-            assert got == pytest.approx(expect, rel=1e-12), (
-                f"nx={nx}: {got} vs {expect}"
-            )
-
     def test_h1_seminorm_dirichlet_matches_matrix_quadratic_form(self):
         """The Dirichlet seminorm is exactly -<f, Lap_h f>*vol; this is the
         duality the energy identity relies on."""
         for seed in range(6):
             g, f, _ = random_state(seed, nx=14, ny=11)
-            lhs = h1_seminorm(f, dirichlet=True)
+            lhs = h1_seminorm(f)
             rhs = -cell_inner(f, apply_dirichlet_laplacian(f))
             assert abs(lhs - rhs) <= 1e-11 * (1 + abs(lhs)), (
                 f"seed {seed}: {lhs} vs {rhs}"

@@ -4,7 +4,8 @@ Checks the five-point matrices against manufactured solutions, the
 residual contracts of both solves, the transform solves and the matrix-free
 stencil against a sparse LU and a product with the assembled matrix, the
 M-matrix sign structure that later guarantees positivity of the transport
-step, and the failure modes (incompatible Neumann data).
+step, and the failure modes (incompatible Neumann data, a solve that misses
+its rounding bound).
 """
 
 import numpy as np
@@ -22,7 +23,9 @@ from ehd2d import (
     solve_dirichlet,
     solve_neumann,
 )
-from ehd2d.errors import Incompatible
+from ehd2d import poisson
+from ehd2d.errors import Incompatible, NonConvergence
+from ehd2d.grid import ROUNDING
 from ehd2d.poisson import _stencil
 
 
@@ -57,7 +60,7 @@ class TestDirichletSolve:
         g = Grid2D(33, 47, 3.0, 2.0)
         rng = np.random.default_rng(7)
         rhs = ScalarField(g, rng.standard_normal((47, 33)))
-        phi = solve_dirichlet(rhs, tol=1e-10)
+        phi = solve_dirichlet(rhs)
         r = apply_dirichlet_laplacian(phi).data - rhs.data
         res = np.sqrt(g.vol * (r * r).sum())
         assert res <= 1e-10 * (1 + np.sqrt(g.vol * (rhs.data ** 2).sum()))
@@ -210,3 +213,47 @@ class TestTransformSolves:
         ref = laplacian_matrix(g, boundary) @ x.ravel()
         got = _stencil(x, g, boundary).ravel()
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _bump(g):
+    X, Y = g.cell_centers()
+    return np.exp(-((X - 0.4 * g.lx) ** 2 + (Y - 0.6 * g.ly) ** 2) / 0.5)
+
+
+class TestRoundingBound:
+    """Both solves pass while the residual stays within the rounding a
+    direct solve leaves, ROUNDING * (|b| + ||Lap_h|| |x|) in the grid L2
+    norm with ||Lap_h|| <= 4/hx^2 + 4/hy^2. That bound grows with the mesh,
+    so fine and thin grids pass, and it is tight enough that a solve off by
+    1e-8 fails."""
+
+    @pytest.mark.parametrize("nx, ny", [(8192, 3), (4096, 16)])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    def test_fine_thin_grids_pass(self, nx, ny, boundary):
+        g = Grid2D(nx, ny, 4.0, 4.0)
+        b = _bump(g)
+        if boundary == "neumann":
+            b -= b.mean()
+            x = solve_neumann(ScalarField(g, b)).data
+        else:
+            x = solve_dirichlet(ScalarField(g, b)).data
+        r = _stencil(x, g, boundary) - b
+        if boundary == "neumann":
+            r -= r.mean()
+
+        def norm(a):
+            return np.sqrt(g.vol * (a * a).sum())
+
+        norm_lap = 4.0 / g.hx ** 2 + 4.0 / g.hy ** 2
+        assert norm(r) <= ROUNDING * (norm(b) + norm_lap * norm(x))
+
+    @pytest.mark.parametrize("solve", [solve_dirichlet, solve_neumann])
+    def test_wrong_spectrum_fails(self, solve, monkeypatch):
+        exact = poisson._lap1d_eigenvalues
+        monkeypatch.setattr(poisson, "_lap1d_eigenvalues",
+                            lambda n, h, boundary: exact(n, h, boundary) * (1.0 + 1e-8))
+        g = Grid2D(64, 64, 4.0, 4.0)
+        b = _bump(g)
+        b -= b.mean()
+        with pytest.raises(NonConvergence):
+            solve(ScalarField(g, b))

@@ -131,8 +131,8 @@ class TestConfigLayering:
     def test_validation_catches_bad_numbers(self):
         for bad in ("time.dt=0", "time.t_max=-1", "time.cfl_safety=1.5",
                     "initial.M=0", "output.record_every=0",
-                    "output.snapshot_every=-1", "tolerances.poisson=0",
-                    "grid.nx=1", "tolerances.poisson=nan", "time.t_max=nan",
+                    "output.snapshot_every=-1", "tolerances.pb=0",
+                    "grid.nx=1", "tolerances.pb=nan", "time.t_max=nan",
                     "initial.M=nan", "initial.M=inf", "initial.amplitude=nan",
                     "time.dt=nan"):
             with pytest.raises(ConfigError):
