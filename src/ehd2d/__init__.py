@@ -22,25 +22,12 @@ from .grid import (
     lp_norm,
     save_matrix,
 )
-from .poisson import (
-    apply_dirichlet_laplacian,
-    laplacian_matrix,
-    solve_dirichlet,
-    solve_neumann,
-)
-from .transport import (
-    bernoulli,
-    step_charges,
-    transport_generator,
-)
+from .poisson import (apply_dirichlet_laplacian, laplacian_matrix, solve_dirichlet,
+                      solve_neumann)
+from .transport import bernoulli, step_charges, transport_generator
 from .fluid import body_force, ladyzhenskaya_ratio, step_velocity
-from .stationary import (
-    StationarySolution,
-    functional_J,
-    sinh_form_check,
-    solve_pb,
-    stationary_pressure_check,
-)
+from .stationary import (StationarySolution, functional_J, sinh_form_check, solve_pb,
+                         stationary_pressure_check)
 from .diagnostics import (
     DecayFit,
     EnergyReport,

@@ -37,7 +37,7 @@ from .grid import (
     kinetic_energy,
 )
 from .fluid import ladyzhenskaya_ratio
-from .poisson import laplacian_matrix, solve_neumann
+from .poisson import _stencil, solve_neumann
 
 DENSITY_FLOOR = 1e-300
 
@@ -195,8 +195,6 @@ def weighted_poincare_estimate(rho, tol=1e-12, max_iter=500):
         raise NonpositiveValues("weighted Poincare weight must be positive")
     n = g.nx * g.ny
     vol = g.vol
-    A = (-laplacian_matrix(g, "neumann") * vol).tocsr()
-
     rho_flat = rho.data.ravel()
     d = vol / (rho_flat * rho_flat)
     r = d * rho_flat
@@ -216,7 +214,9 @@ def weighted_poincare_estimate(rho, tol=1e-12, max_iter=500):
         x = solve_neumann(ScalarField(g, (-b / vol).reshape(rho.data.shape))).data.ravel()
         x -= (float(r @ x) / r_dot_1) * ones
         dx = d * x
-        mu = float(x @ (A @ x)) / float(x @ dx)
+        # x^T A x by the Neumann stencil, A = -vol Lap_N
+        xAx = -vol * float(x @ _stencil(x.reshape(rho.data.shape), g, "neumann").ravel())
+        mu = xAx / float(x @ dx)
         gvec = x / np.sqrt(float(x @ dx))
         if abs(mu - mu_prev) <= tol * abs(mu):
             return 1.0 / mu

@@ -18,9 +18,11 @@ tangential velocity ("dirichlet"); uy is the transpose arrangement. No
 matrix is assembled or factored.
 
 Gradients of cell scalars have zero boundary faces, so the correction never
-touches the walls and the projected field is discretely divergence free to
-solver precision. The stored pressure is the projection potential (the dt
-factor is absorbed), zero mean by construction.
+touches the walls and the projected field is discretely divergence free up
+to rounding: step_velocity holds max|div u+| to the rounding the projection
+leaves, which projection_bound computes from u+ and q alone (u** = u+ +
+grad q) for a stored state too. The stored pressure is the projection
+potential (the dt factor is absorbed), zero mean by construction.
 
 The electric body force is assembled pointwise on faces as (v - w) grad phi,
 with the charge imbalance averaged from the neighboring cells; this is the
@@ -33,11 +35,9 @@ import numpy as np
 from scipy.sparse.linalg import splu  # noqa: F401
 
 from .errors import NonConvergence, ZeroField
-from .grid import MacVectorField, grad_norm_sq, grad_to_faces, div_from_faces
+from .grid import (ROUNDING, MacVectorField, div_from_faces, grad_norm_sq, grad_to_faces,
+                   lp_norm)
 from .poisson import solve_neumann, transform_solve
-
-# Largest divergence a projected velocity may keep; step_velocity fails above it.
-DIV_TOL = 1e-8
 
 
 def body_force(v, w, phi):
@@ -119,14 +119,29 @@ def step_velocity(u, f, dt):
     u2.ux[:, 1:-1] = visc_x + dt * f.ux[:, 1:-1]
     u2.uy[1:-1, :] = visc_y + dt * f.uy[1:-1, :]
 
-    q = solve_neumann(div_from_faces(u2))
+    div2 = div_from_faces(u2)
+    q = solve_neumann(div2)
     gq = grad_to_faces(q)
     u_new = MacVectorField(g, u2.ux - gq.ux, u2.uy - gq.uy)
 
-    worst = float(np.abs(div_from_faces(u_new).data).max())
-    if worst > DIV_TOL:
+    worst = lp_norm(div_from_faces(u_new), np.inf)
+    if worst > _projection_rounding(div2, q, u2):
         raise NonConvergence(1, worst, "projection (residual divergence)")
     return u_new, q
+
+
+def projection_bound(u, q):
+    """Largest max|div u| that rounding leaves in u, projected by the potential q."""
+    gq = grad_to_faces(q)
+    u2 = MacVectorField(u.grid, u.ux + gq.ux, u.uy + gq.uy)
+    return _projection_rounding(div_from_faces(u2), q, u2)
+
+
+def _projection_rounding(div2, q, u2):
+    """ROUNDING (max|div u**| + ||Lap_h|| max|q| + ||div|| max|u**|), ||div|| <= 2/hx + 2/hy."""
+    g = q.grid
+    return ROUNDING * (lp_norm(div2, np.inf) + g.lap_norm * lp_norm(q, np.inf)
+                       + (2.0 / g.hx + 2.0 / g.hy) * u2.max_speed())
 
 
 def ladyzhenskaya_ratio(u):

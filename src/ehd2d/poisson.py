@@ -24,11 +24,12 @@ side must then have zero integral.
 
 solve_dirichlet and solve_neumann check the residual of every solve with
 the matrix-free stencil in the grid L2 norm sqrt(hx*hy*sum(r^2)) against
-the rounding a direct solve leaves, grid.ROUNDING * (|rhs| + ||Lap_h|| |x|)
-with ||Lap_h|| <= 4/hx^2 + 4/hy^2, so the check means the same thing on
-every mesh and still catches a wrong solve.
-laplacian_matrix assembles the same operator for the Newton solve of the
-stationary module and for the diagnostics.
+the rounding a direct solve leaves, residual_bound = grid.ROUNDING *
+(|rhs| + ||Lap_h|| |x|) with ||Lap_h|| <= 4/hx^2 + 4/hy^2 (Grid2D.lap_norm),
+so the check means the same thing on every mesh and still catches a wrong
+solve. The check command holds each potential to the same bound.
+laplacian_matrix assembles the same operator for the Newton matrix of the
+stationary module and for the tests.
 """
 
 import numpy as np
@@ -134,6 +135,11 @@ def _grid_l2(grid, r):
     return float(np.sqrt(grid.vol * np.vdot(r, r)))
 
 
+def residual_bound(grid, b, x):
+    """Largest grid-L2 residual of Lap_h x = b that a direct solve may leave."""
+    return ROUNDING * (_grid_l2(grid, b) + grid.lap_norm * _grid_l2(grid, x))
+
+
 def _solve(rhs, boundary, what):
     """Transform solve of Lap_h x = rhs with its residual check."""
     grid = rhs.grid
@@ -143,8 +149,7 @@ def _solve(rhs, boundary, what):
     if boundary == "neumann":
         r -= r.mean()  # residual in the mean-zero subspace
     res = _grid_l2(grid, r)
-    norm_lap = 4.0 / (grid.hx * grid.hx) + 4.0 / (grid.hy * grid.hy)
-    if res > ROUNDING * (_grid_l2(grid, b) + norm_lap * _grid_l2(grid, x)):
+    if res > residual_bound(grid, b, x):
         raise NonConvergence(1, res, what)
     return ScalarField(grid, x)
 

@@ -78,22 +78,14 @@ class SystemState:
         return self.v.grid
 
     def copy(self):
-        return SystemState(
-            self.u.copy(), self.p.copy(), self.v.copy(), self.w.copy(),
-            self.phi.copy(), self.t,
-        )
+        return SystemState(self.u.copy(), self.p.copy(), self.v.copy(), self.w.copy(),
+                           self.phi.copy(), self.t)
 
 
 def embed_stationary(s):
     """Stationary solution as a resting system state (useful in tests and checks)."""
-    return SystemState(
-        MacVectorField.zeros(s.grid),
-        ScalarField.zeros(s.grid),
-        s.v.copy(),
-        s.w.copy(),
-        s.phi.copy(),
-        0.0,
-    )
+    return SystemState(MacVectorField.zeros(s.grid), ScalarField.zeros(s.grid),
+                       s.v.copy(), s.w.copy(), s.phi.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +100,6 @@ DEFAULTS = {
     ("time", "dt"): 1e-3,
     ("time", "t_max"): 1.0,
     ("time", "cfl_safety"): 0.9,
-    ("tolerances", "pb"): 1e-10,
     ("initial", "preset"): "symmetric-null",
     ("initial", "M"): 0.1,
     ("initial", "N"): 0.1,
@@ -123,10 +114,7 @@ DEFAULTS = {
 }
 
 # SimConfig attribute of each key whose attribute is not the key's own name
-_RENAMED = {
-    ("tolerances", "pb"): "tol_pb",
-    ("output", "dir"): "outdir",
-}
+_RENAMED = {("output", "dir"): "outdir"}
 
 # name -> (description, defaults applied between DEFAULTS and the user input)
 PRESETS = {
@@ -191,8 +179,6 @@ class SimConfig:
             raise ConfigError("output.record_every must be at least 1")
         if self.snapshot_every < 0:
             raise ConfigError("output.snapshot_every must be nonnegative")
-        if self.tol_pb <= 0.0:
-            raise ConfigError("tolerances.pb must be positive")
         try:
             self.grid = Grid2D(self.nx, self.ny, self.lx, self.ly)
         except ValueError as exc:
@@ -322,7 +308,7 @@ def build_initial_state(config, equilibrium=None):
         u0 = _stream_velocity(grid, config.amplitude)
     else:  # near-equilibrium
         if equilibrium is None:
-            equilibrium = solve_pb(config.M, config.N, grid, tol=config.tol_pb)
+            equilibrium = solve_pb(config.M, config.N, grid)
         eta_v = np.sin(2.0 * np.pi * X / grid.lx) * np.cos(np.pi * Y / grid.ly)
         eta_w = np.cos(np.pi * X / grid.lx) * np.sin(2.0 * np.pi * Y / grid.ly)
         v0 = _normalized(grid, equilibrium.v.data * (1.0 + config.eps * eta_v), config.M)
@@ -340,15 +326,10 @@ def build_initial_state(config, equilibrium=None):
 # stepping
 # ---------------------------------------------------------------------------
 
-def _drift_speed(phi):
-    g = grad_to_faces(phi)
-    return g.max_speed()
-
-
 def cfl_limit(state, cfl_safety=1.0):
     """Largest admissible dt: cfl_safety * min(h) / max(|u|, |grad phi|)."""
     g = state.grid
-    speed = max(state.u.max_speed(), _drift_speed(state.phi))
+    speed = max(state.u.max_speed(), grad_to_faces(state.phi).max_speed())
     if speed == 0.0:
         return np.inf
     return cfl_safety * min(g.hx, g.hy) / speed
@@ -419,7 +400,7 @@ def run(config, write_outputs=True):
             "or inconclusive",
             stacklevel=2,
         )
-    equilibrium = solve_pb(config.M, config.N, grid, tol=config.tol_pb)
+    equilibrium = solve_pb(config.M, config.N, grid)
     state = build_initial_state(config, equilibrium)
 
     reports = []

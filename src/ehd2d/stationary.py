@@ -44,10 +44,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import LineSearchStall, NonConvergence
 from .fluid import body_force
-from .grid import ScalarField, grad_to_faces, h1_seminorm, save_matrix
-from .poisson import laplacian_matrix
-
-_DEFAULT_TOL = 1e-10
+from .grid import ROUNDING, ScalarField, grad_to_faces, h1_seminorm, save_matrix
+from .poisson import apply_dirichlet_laplacian, laplacian_matrix
 
 
 def _log_int_exp(z, vol):
@@ -116,16 +114,18 @@ def _newton_direction(A, v, w, R, M, N, vol):
     return Z_R + Z_U @ np.linalg.solve(C, U.T @ Z_R)
 
 
-def solve_pb(M, N, grid, tol=_DEFAULT_TOL, max_iter=50, phi0=None):
+def solve_pb(M, N, grid, max_iter=50, phi0=None):
     """Damped Newton solve of the discrete Poisson-Boltzmann problem.
 
-    Terminates when the grid-L2 norm of R(phi) drops to tol. phi0 overrides
-    the zero initial guess (used by the uniqueness checks).
+    Terminates when the grid-L2 norm of R(phi) drops to the rounding that
+    evaluating R leaves, grid.ROUNDING ((||Lap_h|| + max(v + w)) |phi| + |v|
+    + |w|), where ||Lap_h|| + max(v + w) bounds the norm of the Newton matrix
+    B. The stop scales with the data, so it holds at any mass and on any
+    grid. phi0 overrides the zero initial guess (used by the uniqueness
+    checks).
     """
     if M <= 0.0 or N <= 0.0:
         raise ValueError("masses must be positive")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     A = laplacian_matrix(grid, "dirichlet")
     vol = grid.vol
     n = grid.nx * grid.ny
@@ -134,13 +134,17 @@ def solve_pb(M, N, grid, tol=_DEFAULT_TOL, max_iter=50, phi0=None):
     def J_of(vec):
         return functional_J(ScalarField(grid, vec.reshape(grid.ny, grid.nx)), M, N)
 
+    def norm(vec):
+        return float(np.sqrt(vol * (vec @ vec)))
+
     history = []
     for k in range(max_iter + 1):
         dens_v = _normalized_exp(phi, M, vol)
         dens_w = _normalized_exp(-phi, N, vol)
         R = A @ phi - dens_v + dens_w
-        res = float(np.sqrt(vol * (R @ R)))
-        if res <= tol:
+        res = norm(R)
+        norm_b = grid.lap_norm + float((dens_v + dens_w).max())
+        if res <= ROUNDING * (norm_b * norm(phi) + norm(dens_v) + norm(dens_w)):
             history.append((res, 0.0, 0))
             break
         if k == max_iter:
@@ -152,9 +156,11 @@ def solve_pb(M, N, grid, tol=_DEFAULT_TOL, max_iter=50, phi0=None):
             raise NonConvergence(k, res, what)
         J0 = J_of(phi)
         # Near the minimum the decrease per step falls below the rounding
-        # error of J itself, so the sufficient-decrease test carries an
-        # absolute floating-point allowance.
-        fuzz = 1e-14 * (1.0 + abs(J0))
+        # error of J, which is that of its largest terms: with M and N large
+        # and close, the log-integral terms dwarf J itself. The
+        # sufficient-decrease test allows that much.
+        logs = M * abs(_log_int_exp(phi, vol)) + N * abs(_log_int_exp(-phi, vol))
+        fuzz = ROUNDING * (1.0 + abs(J0) + logs)
         alpha = 1.0
         halvings = 0
         while J_of(phi + alpha * delta) > J0 + 1e-4 * alpha * slope + fuzz:
@@ -187,19 +193,17 @@ def sinh_form_check(s):
 
     with a = M/int e^{phi}, b = N/int e^{-phi}; the returned grid-L2 norm of
     Lap_h phi - 2 alpha sinh(phi - beta) is algebraically the same quantity
-    as the Newton residual, so it vanishes to solver tolerance at any
-    converged solution.
+    as the Newton residual, so it vanishes to rounding at any converged
+    solution.
     """
-    grid = s.grid
-    A = laplacian_matrix(grid, "dirichlet")
-    phi = s.phi.data.ravel()
-    vol = grid.vol
+    phi = s.phi.data
+    vol = s.grid.vol
     log_ip = _log_int_exp(phi, vol)
     log_im = _log_int_exp(-phi, vol)
     alpha2 = 2.0 * np.exp(0.5 * (np.log(s.M) + np.log(s.N) - log_ip - log_im))
     beta = 0.5 * (np.log(s.N) + log_ip - np.log(s.M) - log_im)
-    r = A @ phi - alpha2 * np.sinh(phi - beta)
-    return float(np.sqrt(vol * (r @ r)))
+    r = apply_dirichlet_laplacian(s.phi).data - alpha2 * np.sinh(phi - beta)
+    return float(np.sqrt(vol * (r * r).sum()))
 
 
 def stationary_pressure_check(s):

@@ -216,7 +216,7 @@ def test_criterion_05_small_mass_limit():
 
 def test_criterion_06_discrete_equilibrium_frozen():
     cfg = load_config(preset="relax-small-mass", overrides=["time.dt=2e-3"])
-    s = solve_pb(cfg.M, cfg.N, cfg.grid, tol=cfg.tol_pb)
+    s = solve_pb(cfg.M, cfg.N, cfg.grid)
     st = embed_stationary(s)
     ref = st.copy()
     t0 = time.perf_counter()

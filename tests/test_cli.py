@@ -33,6 +33,7 @@ class TestExitCodes:
         negative = ["--preset", "near-equilibrium", "--set", "grid.nx=16",
                     "--set", "grid.ny=16", "--set", "initial.eps=5"]
         for bad in (["--set", "time.dt=-1"], ["--set", "tolerances.pb=nan"],
+                    ["--set", "tolerances.pb=1e-10"],
                     ["--set", "tolerances.poisson=1e-8"],
                     ["--set", "tolerances.projection=1e-8"],
                     ["--config", str(percent)], negative):
@@ -59,16 +60,41 @@ class TestExitCodes:
             assert len(err) == 1 and err[0].startswith("config error:"), err
             assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("side", ["1e-200", "1e200"])
+    def test_extreme_grid_sides_are_config_errors(self, side, tmp_path, capsys):
+        """Cells whose size, area or 1/h^2 leave the double range."""
+        code = cli.main(["stationary", "--set", "grid.nx=8", "--set", "grid.ny=8",
+                         "--set", f"grid.lx={side}", "--set", f"grid.ly={side}",
+                         "--set", "initial.N=0.2", "--out", str(tmp_path / "s")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
     def test_unknown_key_maps_to_one(self, capsys):
         assert cli.main(["run", "--set", "grid.bogus=3"]) == 1
 
-    def test_solver_error_maps_to_two(self, tmp_path, capsys):
+    def test_solver_error_maps_to_two(self, tmp_path, capsys, monkeypatch):
+        """A Newton solve that runs out of iterations: every direction is
+        cut to a thousandth, so 50 steps cannot reach the rounding stop."""
+        from ehd2d import stationary
+        exact = stationary.splu
+
+        class ShortLU:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return 1e-3 * self.lu.solve(b)
+
+        monkeypatch.setattr(stationary, "splu",
+                            lambda *args, **kwargs: ShortLU(exact(*args, **kwargs)))
         code = cli.main(["stationary", "--preset", "relax-small-mass",
                          "--set", "grid.nx=16", "--set", "grid.ny=16",
-                         "--set", "tolerances.pb=1e-30",
                          "--out", str(tmp_path / "s")])
         assert code == 2
-        assert "solver error" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver error:"), err
+        assert "did not converge after 50 iterations" in err[0]
 
     def test_non_finite_newton_direction_maps_to_two(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -169,6 +195,23 @@ class TestRunCommand:
         assert rows[:, 0].tolist() == [0.0, 1e4]
         assert rows[1, 1] == pytest.approx(rows[0, 1], rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "relax-small-mass", "--set", "grid.nx=8192", "--set", "grid.ny=3",
+         "--set", "initial.M=5", "--set", "initial.N=10", "--set", "time.t_max=0.002"],
+        ["--preset", "vortex-charge", "--set", "grid.nx=64", "--set", "grid.ny=64",
+         "--set", "initial.amplitude=1e6", "--set", "time.t_max=1e-9"],
+        ["--preset", "vortex-charge", "--set", "grid.nx=64", "--set", "grid.ny=64",
+         "--set", "initial.amplitude=1e8", "--set", "time.t_max=1e-9"],
+    ], ids=["thin-8192x3", "vortex-1e6", "vortex-1e8"])
+    def test_rounding_bounds_follow_the_data(self, argv, tmp_path):
+        """Runs a fixed tolerance failed: the Newton solve on a thin grid
+        (residual floor 3.8e-10 against 1e-10) and the projection of fast
+        vortices (divergence 1.6e-7 and 2.0e-5 against 1e-8)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # M + N above rho0_warn
+            code = cli.main(["run", "--quiet", *argv, "--out", str(tmp_path / "out")])
+        assert code == 0
+
     def test_config_file_round_trip(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
@@ -232,6 +275,25 @@ class TestCheckCommand:
         assert lines[-1] == "all properties passed"
         body = lines[:-1]
         assert body and all(ln.startswith("PASS") for ln in body), printed
+
+    def test_poisson_line_holds_at_huge_mass(self, tmp_path, capsys):
+        """At M = 1e6 the potential's residual (2.5e-8) is rounding: the
+        line reads the bound the Dirichlet solve itself passed."""
+        cli.main(["check", "--preset", "vortex-charge", "--set", "grid.nx=16",
+                  "--set", "grid.ny=16", "--set", "initial.M=1e6",
+                  "--set", "initial.N=2e6", "--out", str(tmp_path / "out")])
+        printed = capsys.readouterr().out
+        assert "PASS potential solves the charge Poisson equation" in printed, printed
+
+    def test_fast_vortex_passes(self, tmp_path, capsys):
+        """At amplitude 1e6 the initial discrete curl keeps a divergence of
+        4.8e-8 from rounding, and the burst's projections up to 1e-7: both
+        divergence lines read the projection's rounding bound."""
+        code = cli.main(["check", "--preset", "vortex-charge", "--set", "grid.nx=64",
+                         "--set", "grid.ny=64", "--set", "initial.amplitude=1e6",
+                         "--out", str(tmp_path / "out")])
+        printed = capsys.readouterr().out
+        assert code == 0, printed
 
     def test_mass_mismatch_fails_with_code_three(self, tmp_path, capsys):
         """Charge files whose masses disagree with the config are the one

@@ -25,7 +25,8 @@ from ehd2d import (
     ladyzhenskaya_ratio,
     step_velocity,
 )
-from ehd2d.errors import ZeroField
+from ehd2d import fluid
+from ehd2d.errors import NonConvergence, ZeroField
 from ehd2d.poisson import _lap1d, _lap1d_eigenvalues, transform_solve
 from ehd2d.sim import _stream_velocity
 
@@ -148,6 +149,37 @@ class TestStepVelocity:
         g = Grid2D(8, 8)
         with pytest.raises(ValueError):
             step_velocity(MacVectorField.zeros(g), MacVectorField.zeros(g), -1.0)
+
+
+class TestProjectionBound:
+    """step_velocity holds the projected divergence to fluid.projection_bound,
+    the rounding the projection leaves, which grows with the velocity and
+    the mesh. A fixed 1e-8 failed on a 64^2 vortex from amplitude 1e6 on
+    (residual divergence 1.6e-7, and 2.0e-5 at 1e8)."""
+
+    @pytest.mark.parametrize("amplitude", [1e6, 1e8])
+    def test_large_velocity_projects_within_bound(self, amplitude):
+        g = Grid2D(64, 64)
+        u = _stream_velocity(g, amplitude)
+        dt = 0.9 * g.hx / u.max_speed()
+        u_new, q = step_velocity(u, MacVectorField.zeros(g), dt)
+        worst = float(np.abs(div_from_faces(u_new).data).max())
+        # measured at 0.005 of the bound at both amplitudes
+        assert worst <= fluid.projection_bound(u_new, q)
+
+    def test_perturbed_projection_raises(self, monkeypatch):
+        """A projection potential off by a relative 1e-8 leaves a divergence
+        far above the bound (about 1600 times it here), so the check still
+        catches a wrong projection."""
+        exact = fluid.solve_neumann
+
+        def perturbed(rhs):
+            return ScalarField(rhs.grid, (1.0 + 1e-8) * exact(rhs).data)
+
+        monkeypatch.setattr(fluid, "solve_neumann", perturbed)
+        g = Grid2D(64, 64)
+        with pytest.raises(NonConvergence, match="residual divergence"):
+            step_velocity(_stream_velocity(g, 20.0), MacVectorField.zeros(g), 1e-4)
 
 
 def _viscous_reference(b, dt, hy, y_closure, hx, x_closure):

@@ -170,7 +170,7 @@ class TestInitialStates:
 
     def test_near_equilibrium_zero_eps_is_stationary(self):
         cfg = small("near-equilibrium", "initial.eps=0.0")
-        s = solve_pb(cfg.M, cfg.N, cfg.grid, tol=cfg.tol_pb)
+        s = solve_pb(cfg.M, cfg.N, cfg.grid)
         st = build_initial_state(cfg, s)
         assert np.allclose(st.v.data, s.v.data, rtol=0, atol=1e-14)
         assert np.allclose(st.w.data, s.w.data, rtol=0, atol=1e-14)
@@ -247,7 +247,7 @@ class TestStep:
     def test_equilibrium_state_is_fixed(self):
         cfg = small("near-equilibrium", "grid.nx=24", "grid.ny=24",
                     "initial.eps=0.0")
-        s = solve_pb(cfg.M, cfg.N, cfg.grid, tol=cfg.tol_pb)
+        s = solve_pb(cfg.M, cfg.N, cfg.grid)
         st = embed_stationary(s)
         for _ in range(5):
             st = step(st, 2e-3)

@@ -8,6 +8,7 @@ the potential amplitude vanishes with the total mass.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehd2d import (
     Grid2D,
@@ -23,13 +24,28 @@ from ehd2d import (
 )
 from ehd2d import stationary
 from ehd2d.errors import NonConvergence
+from ehd2d.grid import ROUNDING
 from ehd2d.stationary import export_stationary
+
+
+def newton_bound(s):
+    """The rounding stop of solve_pb at the returned iterate, worked out
+    here from the grid: ROUNDING ((||Lap_h|| + max(v + w)) |phi| + |v| + |w|)
+    with ||Lap_h|| = 4/hx^2 + 4/hy^2 and grid-L2 norms."""
+    g = s.grid
+    v, w, phi = s.v.data, s.w.data, s.phi.data
+
+    def norm(f):
+        return float(np.sqrt(g.vol * (f * f).sum()))
+
+    norm_b = 4.0 / g.hx ** 2 + 4.0 / g.hy ** 2 + float((v + w).max())
+    return ROUNDING * (norm_b * norm(phi) + norm(v) + norm(w))
 
 
 class TestSymmetricMasses:
     def test_zero_potential_no_iterations(self):
         """M = N is an exact fixed point: the initial guess already meets
-        the residual tolerance."""
+        the rounding stop."""
         for n in (16, 64, 96):
             s = solve_pb(0.1, 0.1, Grid2D(n, n))
             assert lp_norm(s.phi, np.inf) <= 1e-10, f"n={n}"
@@ -164,6 +180,63 @@ class TestExactNewton:
         monkeypatch.setattr(stationary, "splu", lambda *args, **kwargs: NanLU())
         with pytest.raises(NonConvergence, match="no descent direction at iteration 1"):
             solve_pb(0.05, 0.1, Grid2D(16, 16))
+
+
+# square-ish grids from 3x3 to 32x32, and thin ones up to 1:64 either way
+GRID_SHAPES = st.one_of(
+    st.tuples(st.integers(3, 32), st.integers(3, 32)),
+    st.tuples(st.integers(3, 8), st.integers(2, 64), st.booleans()).map(
+        lambda t: (t[0] * t[1], t[0]) if t[2] else (t[0], t[0] * t[1])),
+)
+
+
+class TestRoundingStop:
+    """solve_pb stops at the rounding that evaluating its residual leaves,
+    which follows the grid and the masses. A fixed stop of 1e-10 sat below
+    the residual floor of thin grids (3.8e-10 at 8192x3) and of large
+    masses (1.8e-7 at M = 1e6), so those solves never stopped."""
+
+    @pytest.mark.parametrize("nx, ny, M, N", [(8192, 3, 5.0, 10.0), (16, 16, 1e6, 2e6)])
+    def test_thin_grid_and_huge_mass_converge(self, nx, ny, M, N):
+        g = Grid2D(nx, ny, 4.0, 4.0)
+        s = solve_pb(M, N, g)
+        assert s.residual <= newton_bound(s)
+        assert s.iterations <= 7
+        assert integrate(s.v) == pytest.approx(M, rel=1e-13)
+        assert integrate(s.w) == pytest.approx(N, rel=1e-13)
+        with pytest.raises(NonConvergence):
+            solve_pb(M, N, g, max_iter=s.iterations - 1)
+
+    @pytest.mark.parametrize("n, M, N", [(32, 100, 150), (64, 0.05, 0.1), (128, 1000, 1500)])
+    def test_one_step_short_fails_the_stop(self, n, M, N):
+        """The stop is not loose: the iterate one Newton step before the
+        returned one misses it, so a solve capped one step early raises.
+        (At 32^2, M = 100 the returned iterate sits at 0.68 of the bound.)"""
+        g = Grid2D(n, n, 4.0, 4.0)
+        s = solve_pb(M, N, g)
+        with pytest.raises(NonConvergence):
+            solve_pb(M, N, g, max_iter=s.iterations - 1)
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(log_m=st.floats(-3.0, 6.0), log_n=st.floats(-3.0, 6.0), shape=GRID_SHAPES,
+           log_lx=st.floats(-1.0, 1.0), log_ly=st.floats(-1.0, 1.0))
+    def test_converges_at_any_mass_on_any_grid(self, log_m, log_n, shape, log_lx, log_ly):
+        """M and N log-uniform in [1e-3, 1e6], domain sides in [0.1, 10]."""
+        M, N = 10.0 ** log_m, 10.0 ** log_n
+        s = solve_pb(M, N, Grid2D(*shape, 10.0 ** log_lx, 10.0 ** log_ly))
+        assert s.residual <= newton_bound(s)
+        assert integrate(s.v) == pytest.approx(M, rel=1e-13)
+        assert integrate(s.w) == pytest.approx(N, rel=1e-13)
+
+    def test_line_search_allows_rounding_of_large_terms(self):
+        """With M and N large and close, J (here -152) is a small difference
+        of log-integral terms near 2e4, whose rounding (3.6e-12 here) once
+        failed the sufficient-decrease test at every step length, so the
+        solve stalled at residual 1.1e-5 until it ran out of iterations."""
+        g = Grid2D(7, 10, 0.3470495617567223, 3.167806813296821)
+        s = solve_pb(5851.277307903307, 5085.696403023489, g)
+        assert s.residual <= newton_bound(s)
+        assert s.iterations <= 4
 
 
 class TestSmallMassLimit:
