@@ -47,6 +47,8 @@ def psi(s, r):
 
     Nonnegative, zero only at s = r; the s = 0 limit returns r. Evaluated as
     r((1+d) log1p(d) - d) with d = (s-r)/r, accurate also for s close to r.
+    Where s is positive but below about eps r / 2, 1 + d rounds to 0 and that
+    form to 0 * inf, so those entries take r - s + s (log s - log r).
     Accepts scalars or arrays (r may be a field of weights).
     """
     s_arr = np.asarray(s, dtype=float)
@@ -59,6 +61,10 @@ def psi(s, r):
     with np.errstate(invalid="ignore", divide="ignore"):
         val = r_arr * ((1.0 + d) * np.log1p(d) - d)
     val = np.where(s_arr == 0.0, r_arr, val)
+    tiny = (1.0 + d == 0.0) & (s_arr > 0.0)
+    if tiny.any():
+        s_t, r_t = (a[tiny] for a in np.broadcast_arrays(s_arr, r_arr))
+        val[tiny] = r_t - s_t + s_t * (np.log(s_t) - np.log(r_t))
     if val.ndim == 0:
         return float(val)
     return val
@@ -257,7 +263,8 @@ class EnergyReport:
     * ck_lhs = ||dv||_1^2 + ||dw||_1^2 + H + 2K, the left side of the
       Csiszar-Kullback comparison whose right side is W_rel. The entropy
       inequality ||f-g||_1^2 <= ((2||f||_1 + 4||g||_1)/3) int psi(f, g)
-      supports it; with the masses this package works at, ck_lhs <= 4 W_rel.
+      supports it: ck_lhs <= c W_rel with c = max(4, (2||v||_1 + 4M)/3,
+      (2||w||_1 + 4N)/3), which is 4 while the masses M, N are at most 2.
 
     lady_ratio is reported as 0.0 for an exactly zero velocity field (the
     underlying ratio is undefined there).

@@ -169,6 +169,8 @@ class SimConfig:
     def _validate(self):
         if self.dt <= 0.0:
             raise ConfigError("time.dt must be positive")
+        if not math.isfinite(1.0 / self.dt):
+            raise ConfigError(f"time.dt = {self.dt!r} is too small: 1/dt overflows")
         if self.t_max < 0.0:
             raise ConfigError("time.t_max must be nonnegative")
         if not (0.0 < self.cfl_safety <= 1.0):
@@ -251,8 +253,33 @@ def _gaussian(X, Y, cx, cy, sigma):
 
 
 def _normalized(grid, data, mass):
-    f = ScalarField(grid, data)
-    return ScalarField(grid, data * (mass / integrate(f)))
+    total = integrate(ScalarField(grid, data))
+    scale = mass / total if total > 0.0 else math.inf
+    if not math.isfinite(scale):
+        raise ConfigError(f"the initial profile integrates to {total!r} on this grid, "
+                          "so it cannot carry a mass; use a finer or less stretched grid")
+    return ScalarField(grid, data * scale)
+
+
+# Relative rounding within which an initial state carries the configured
+# masses: a run's own snapshots, fed back as charge files, hold theirs to
+# about 1e-14.
+MASS_RTOL = 1e-12
+
+
+def _check_file_mass(field, mass, species, key):
+    """ConfigError unless a charge file carries the configured mass.
+
+    The run solves the equilibrium at the configured masses, and transport
+    conserves the file's, so every decay diagnostic would measure the state
+    against an equilibrium it can never reach.
+    """
+    found = integrate(field)
+    if found == 0.0:
+        raise ConfigError(f"initial.{species}_file holds zero mass")
+    if abs(found - mass) > MASS_RTOL * mass:
+        raise ConfigError(f"initial.{species}_file holds mass {found!r}, but initial.{key} "
+                          f"is {mass!r}; set initial.{key} to the file's mass")
 
 
 def _stream_velocity(grid, amplitude):
@@ -317,6 +344,9 @@ def build_initial_state(config, equilibrium=None):
     # files and presets alike: a large |initial.eps| makes near-equilibrium negative
     if v0.data.min() < 0.0 or w0.data.min() < 0.0:
         raise ConfigError("initial charge densities contain negative values")
+    if config.v_file:
+        _check_file_mass(v0, config.M, "v", "M")
+        _check_file_mass(w0, config.N, "w", "N")
     rhs = ScalarField(grid, v0.data - w0.data)
     phi0 = solve_dirichlet(rhs)
     return SystemState(u0, ScalarField.zeros(grid), v0, w0, phi0, 0.0)

@@ -27,6 +27,15 @@ identity: one sparse LU of B, one three-column solve B Z = [R, U], and the
 
     delta = Z_R + Z_U C^{-1} U^T Z_R.
 
+The LU of B is the only sparse factorization in the package, and at 256^2
+it is most of the solve's time and memory. It keeps the minimum-degree
+ordering of B + B^T, so its fill is fixed, but takes SuperLU panels of 4
+columns and relaxed supernodes of at most 6 (NEWTON_LU) in place of scipy's
+general-purpose 20 and 10. SuperLU's panel workspace grows as n times the
+panel width, and on this five-point matrix the wider panels and larger
+supernodes buy no speed: at 256^2 the smaller ones take about 18 MB off the
+peak memory of `ehd2d stationary` and a quarter off each factorization.
+
 J is strictly convex for every M, N > 0 (the log-integral terms are convex,
 the Dirichlet energy strictly so), so B - U U^T is symmetric positive
 definite and delta is a descent direction, slope -vol R^T delta < 0, at any
@@ -99,6 +108,21 @@ def functional_J(phi, M, N):
     )
 
 
+# SuperLU options for the Newton LU (see the module docstring). Only the
+# supernode partition changes; the ordering, and so the fill, stay those of
+# MMD_AT_PLUS_A. One factorization of B at phi = 0 for the relax-small-mass
+# masses (2-vCPU Xeon, OPENBLAS_NUM_THREADS=1; min of 3, process peak RSS):
+#
+#   grid    scipy default (20, 10)    (4, 6)             L + U nnz
+#   128^2    43 ms,  82.6 MB           32 ms,  77.8 MB      664 094
+#   256^2   290 ms, 136.7 MB          218 ms, 118.6 MB    3 407 022
+#   512^2   1.50 s,  378 MB            1.17 s,  307 MB   16 849 798
+#
+# (2, 4) saves 2 MB more at 256^2 but factors slower there; (8, 10) saves
+# only 12 MB.
+NEWTON_LU = {"panel_size": 4, "relax": 6}
+
+
 def _newton_direction(A, v, w, R, M, N, vol):
     """Exact Newton direction: solves (B - U U^T) delta = R by Woodbury.
 
@@ -108,7 +132,7 @@ def _newton_direction(A, v, w, R, M, N, vol):
     """
     U = np.column_stack((np.sqrt(vol / M) * v, np.sqrt(vol / N) * w))
     B = (sp.diags(v + w) - A).tocsc()
-    Z = splu(B, permc_spec="MMD_AT_PLUS_A").solve(np.column_stack((R, U)))
+    Z = splu(B, permc_spec="MMD_AT_PLUS_A", **NEWTON_LU).solve(np.column_stack((R, U)))
     Z_R, Z_U = Z[:, 0], Z[:, 1:]
     C = np.eye(2) - U.T @ Z_U
     return Z_R + Z_U @ np.linalg.solve(C, U.T @ Z_R)

@@ -4,6 +4,7 @@ Exercised through cli.main(argv) so the tests see the same dispatch,
 error mapping, and printing as a shell user, without spawning processes.
 """
 
+import dataclasses
 import os
 import warnings
 
@@ -14,6 +15,8 @@ from ehd2d import cli, load_matrix, save_matrix
 
 FAST = ["--set", "grid.nx=16", "--set", "grid.ny=16", "--set", "time.dt=1e-3",
         "--set", "time.t_max=3e-3"]
+HUGE_MASS = ["--preset", "vortex-charge", "--set", "grid.nx=16", "--set", "grid.ny=16",
+             "--set", "initial.M=1e6", "--set", "initial.N=2e6"]
 
 
 class TestExitCodes:
@@ -32,11 +35,16 @@ class TestExitCodes:
         percent.write_text("[grid]\nnx = 8%x\n")
         negative = ["--preset", "near-equilibrium", "--set", "grid.nx=16",
                     "--set", "grid.ny=16", "--set", "initial.eps=5"]
+        # the charge bumps underflow to zero on every cell of this grid
+        stretched = ["--preset", "relax-small-mass", "--set", "grid.nx=8",
+                     "--set", "grid.ny=8", "--set", "grid.lx=1000",
+                     "--set", "grid.ly=0.001"]
         for bad in (["--set", "time.dt=-1"], ["--set", "tolerances.pb=nan"],
                     ["--set", "tolerances.pb=1e-10"],
                     ["--set", "tolerances.poisson=1e-8"],
                     ["--set", "tolerances.projection=1e-8"],
-                    ["--config", str(percent)], negative):
+                    ["--config", str(percent)], negative, stretched,
+                    ["--set", "time.dt=1e-310"]):
             code = cli.main(["run", *bad, "--out", str(tmp_path / "out")])
             assert code == 1
             err = capsys.readouterr().err.splitlines()
@@ -184,10 +192,12 @@ class TestRunCommand:
         c = np.random.default_rng(5).uniform(0.0, 1.0, (128, 128))
         c[c < 0.3] = 0.0
         save_matrix(path, c)
+        mass = float(c.sum()) / 128 ** 2
         out = tmp_path / "out"
         code = cli.main(["run", "--quiet", "--set", "grid.nx=128", "--set", "grid.ny=128",
                          "--set", f"initial.v_file={path}",
                          "--set", f"initial.w_file={path}",
+                         "--set", f"initial.M={mass!r}", "--set", f"initial.N={mass!r}",
                          "--set", "time.dt=1e4", "--set", "time.t_max=1e4",
                          "--out", str(out)])
         assert code == 0
@@ -279,9 +289,7 @@ class TestCheckCommand:
     def test_poisson_line_holds_at_huge_mass(self, tmp_path, capsys):
         """At M = 1e6 the potential's residual (2.5e-8) is rounding: the
         line reads the bound the Dirichlet solve itself passed."""
-        cli.main(["check", "--preset", "vortex-charge", "--set", "grid.nx=16",
-                  "--set", "grid.ny=16", "--set", "initial.M=1e6",
-                  "--set", "initial.N=2e6", "--out", str(tmp_path / "out")])
+        cli.main(["check", *HUGE_MASS, "--out", str(tmp_path / "out")])
         printed = capsys.readouterr().out
         assert "PASS potential solves the charge Poisson equation" in printed, printed
 
@@ -295,20 +303,52 @@ class TestCheckCommand:
         printed = capsys.readouterr().out
         assert code == 0, printed
 
-    def test_mass_mismatch_fails_with_code_three(self, tmp_path, capsys):
-        """Charge files whose masses disagree with the config are the one
-        honest way to reach the failure exit without breaking a solver."""
+    def test_mass_mismatch_is_config_error(self, tmp_path, capsys):
+        """Charge files must carry the configured masses: the equilibrium is
+        solved at initial.M and initial.N, and transport keeps the files'
+        masses, so a mismatch would be measured against a state the run
+        never reaches. With the files' masses set, the same check passes."""
         vp, wp = str(tmp_path / "v.txt"), str(tmp_path / "w.txt")
         save_matrix(vp, np.full((16, 16), 4.0))
         save_matrix(wp, np.full((16, 16), 4.0))
-        code = cli.main(["check", *FAST,
-                         "--set", f"initial.v_file={vp}",
-                         "--set", f"initial.w_file={wp}",
-                         "--out", str(tmp_path / "out")])
+        files = ["--set", f"initial.v_file={vp}", "--set", f"initial.w_file={wp}",
+                 "--out", str(tmp_path / "out")]
+        assert cli.main(["check", *FAST, *files]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert "mass 4.0" in err[0] and "initial.M is 0.1" in err[0], err
+        code = cli.main(["check", *FAST, *files, "--set", "initial.M=4",
+                         "--set", "initial.N=4"])
         printed = capsys.readouterr().out
-        assert code == 3, printed
-        assert "FAIL initial masses match config" in printed
-        assert "properties failed" in printed
+        assert code == 0, printed
+
+    def test_csiszar_kullback_line_holds_at_huge_mass(self, tmp_path, capsys):
+        """The line's constant grows with the masses: at M = 1e6, N = 2e6
+        ck_lhs is 12.5 times 4 W_rel, within c W_rel for c = 4e6."""
+        code = cli.main(["check", *HUGE_MASS, "--out", str(tmp_path / "out")])
+        printed = capsys.readouterr().out
+        assert code == 0, printed
+        assert "PASS Csiszar-Kullback inequality" in printed
+
+    @pytest.mark.parametrize("factor, expected", [(0.99, 0), (1.01, 3)])
+    def test_csiszar_kullback_line_fails_above_its_bound(self, factor, expected,
+                                                         tmp_path, capsys, monkeypatch):
+        """With ck_lhs moved to just below or just above c W_rel, where
+        c = max(4, (2||v||_1 + 4M)/3, (2||w||_1 + 4N)/3) = 4e6 here, the line
+        passes or fails, and a failure ends with exit 3."""
+        real = cli.energy_report
+
+        def moved(state, s):
+            rep = real(state, s)
+            c = max(4.0, (2.0 * rep.mass_v + 4e6) / 3.0, (2.0 * rep.mass_w + 8e6) / 3.0)
+            return dataclasses.replace(rep, ck_lhs=factor * c * rep.W_rel)
+
+        monkeypatch.setattr(cli, "energy_report", moved)
+        code = cli.main(["check", *HUGE_MASS, "--out", str(tmp_path / "out")])
+        printed = capsys.readouterr().out
+        assert code == expected, printed
+        tag = "PASS" if expected == 0 else "FAIL"
+        assert f"{tag} Csiszar-Kullback inequality" in printed
 
 
 class TestEntryPoint:

@@ -76,6 +76,18 @@ class TestPsi:
         got = psi(r * (1 + eps), r)
         assert got == pytest.approx(0.5 * eps ** 2, rel=1e-6)
 
+    def test_finite_far_below_reference(self):
+        """Below about eps r / 2, 1 + d rounds to 0; psi must still be
+        r - s + s log(s/r), not 0 * inf. A step from exact zeros leaves such
+        densities, which once made W NaN."""
+        s = np.array([1e-17, 1e-100, 5e-324, 0.0, 1e-300])
+        r = np.array([1.0, 1.0, 2.0, 1.0, 1e5])
+        got = psi(s, r)
+        want = [1.0 - 1e-17 + 1e-17 * np.log(1e-17), 1.0, 2.0, 1.0, 1e5]
+        assert np.all(np.isfinite(got))
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert psi(1e-17, 1.0) == pytest.approx(want[0], rel=1e-15, abs=0.0)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(NonpositiveValues):
             psi(1.0, 0.0)

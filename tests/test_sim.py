@@ -188,6 +188,23 @@ class TestInitialStates:
         assert np.array_equal(st.v.data, ref.v.data), "file round trip must be exact"
         assert np.array_equal(st.w.data, ref.w.data)
 
+    def test_charge_files_must_carry_the_configured_masses(self, tmp_path):
+        """A file whose mass differs from initial.M or initial.N, or is zero,
+        is a ConfigError naming both masses; within rounding it loads."""
+        vp, wp, zp = (str(tmp_path / f"{name}.txt") for name in "vwz")
+        save_matrix(vp, np.full((16, 16), 0.1))
+        save_matrix(wp, np.full((16, 16), 0.2))
+        save_matrix(zp, np.zeros((16, 16)))
+        files = (f"initial.v_file={vp}", f"initial.w_file={wp}")
+        with pytest.raises(ConfigError, match=r"initial.w_file holds mass 0.2.*initial.N is 0.1"):
+            build_initial_state(small("symmetric-null", *files))
+        st = build_initial_state(small("symmetric-null", *files, "initial.N=0.2"))
+        assert integrate(st.w) == pytest.approx(0.2, rel=1e-15)
+        cfg = small("symmetric-null", f"initial.v_file={zp}", f"initial.w_file={wp}",
+                    "initial.N=0.2")
+        with pytest.raises(ConfigError, match="initial.v_file holds zero mass"):
+            build_initial_state(cfg)
+
     def test_charge_files_must_come_together(self, tmp_path):
         vp = str(tmp_path / "v.txt")
         save_matrix(vp, np.ones((16, 16)))

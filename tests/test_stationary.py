@@ -9,6 +9,7 @@ the potential amplitude vanishes with the total mass.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import splu
 
 from ehd2d import (
     Grid2D,
@@ -40,6 +41,15 @@ def newton_bound(s):
 
     norm_b = 4.0 / g.hx ** 2 + 4.0 / g.hy ** 2 + float((v + w).max())
     return ROUNDING * (norm_b * norm(phi) + norm(v) + norm(w))
+
+
+# (M, N) of TestExactNewton on 32^2, 64^2 and 128^2 over 4x4
+NEWTON_MASSES = [(0.05, 0.1), (30, 40), (50, 60), (100, 150), (1000, 1500)]
+# (nx, ny, M, N) over 4x4 whose residual floor lay above a fixed 1e-10 stop
+ROUNDING_FLOORS = [(8192, 3, 5.0, 10.0), (16, 16, 1e6, 2e6)]
+# grid and masses at which J's rounding once stalled the line search
+LINE_SEARCH_CASE = (7, 10, 0.3470495617567223, 3.167806813296821,
+                    5851.277307903307, 5085.696403023489)
 
 
 class TestSymmetricMasses:
@@ -122,8 +132,7 @@ class TestExactNewton:
     iteration converges quadratically and at any positive mass."""
 
     @pytest.mark.parametrize("n", [32, 64, 128])
-    @pytest.mark.parametrize("M,N", [(0.05, 0.1), (30, 40), (50, 60), (100, 150),
-                                     (1000, 1500)])
+    @pytest.mark.parametrize("M,N", NEWTON_MASSES)
     def test_converges_at_any_mass(self, n, M, N):
         s = solve_pb(M, N, Grid2D(n, n, 4.0, 4.0))
         assert s.residual <= 1e-10
@@ -196,7 +205,7 @@ class TestRoundingStop:
     the residual floor of thin grids (3.8e-10 at 8192x3) and of large
     masses (1.8e-7 at M = 1e6), so those solves never stopped."""
 
-    @pytest.mark.parametrize("nx, ny, M, N", [(8192, 3, 5.0, 10.0), (16, 16, 1e6, 2e6)])
+    @pytest.mark.parametrize("nx, ny, M, N", ROUNDING_FLOORS)
     def test_thin_grid_and_huge_mass_converge(self, nx, ny, M, N):
         g = Grid2D(nx, ny, 4.0, 4.0)
         s = solve_pb(M, N, g)
@@ -233,10 +242,55 @@ class TestRoundingStop:
         of log-integral terms near 2e4, whose rounding (3.6e-12 here) once
         failed the sufficient-decrease test at every step length, so the
         solve stalled at residual 1.1e-5 until it ran out of iterations."""
-        g = Grid2D(7, 10, 0.3470495617567223, 3.167806813296821)
-        s = solve_pb(5851.277307903307, 5085.696403023489, g)
+        nx, ny, lx, ly, M, N = LINE_SEARCH_CASE
+        s = solve_pb(M, N, Grid2D(nx, ny, lx, ly))
         assert s.residual <= newton_bound(s)
         assert s.iterations <= 4
+
+
+class TestNewtonLU:
+    """The Newton LU takes SuperLU panels of 4 columns and supernodes of at
+    most 6 (stationary.NEWTON_LU), which lowers the peak memory of the
+    solve; no test can see that memory, so the first test pins the options.
+    The ordering is unchanged and only the supernode partition differs from
+    scipy's defaults, so every solve takes the same Newton steps and returns
+    the same state to rounding."""
+
+    def test_factorization_options(self, monkeypatch):
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(stationary, "splu", recording)
+        s = solve_pb(0.05, 0.1, Grid2D(32, 32, 4.0, 4.0))
+        assert s.iterations >= 1
+        assert calls == [{"permc_spec": "MMD_AT_PLUS_A", "panel_size": 4,
+                          "relax": 6}] * s.iterations
+
+    @pytest.mark.parametrize(
+        "nx, ny, lx, ly, M, N",
+        [(n, n, 4.0, 4.0, M, N) for n in (32, 64, 128) for M, N in NEWTON_MASSES]
+        + [(nx, ny, 4.0, 4.0, M, N) for nx, ny, M, N in ROUNDING_FLOORS]
+        + [LINE_SEARCH_CASE])
+    def test_same_solve_as_scipy_defaults(self, monkeypatch, nx, ny, lx, ly, M, N):
+        """Same iteration count; phi within 1e-13 relative, v and w within
+        1e-12. On 8192x3 the condition number of B is about 1.4e7, and any
+        change of the LU's operation order moves phi there by 0.7e-12 to
+        1.5e-12 (five panel/relax pairs, (8, 10) among them, each against
+        scipy's defaults), so phi is held to 1e-11 on that grid."""
+        g = Grid2D(nx, ny, lx, ly)
+        s = solve_pb(M, N, g)
+        monkeypatch.setattr(stationary, "splu", lambda B, permc_spec, **options:
+                            splu(B, permc_spec=permc_spec))
+        ref = solve_pb(M, N, g)
+        assert s.iterations == ref.iterations
+        phi_rtol = 1e-11 if (nx, ny) == (8192, 3) else 1e-13
+        for got, want, rtol in ((s.phi, ref.phi, phi_rtol), (s.v, ref.v, 1e-12),
+                                (s.w, ref.w, 1e-12)):
+            gap = np.abs(got.data - want.data).max() / np.abs(want.data).max()
+            assert gap <= rtol, f"relative gap {gap:.3e}"
 
 
 class TestSmallMassLimit:
