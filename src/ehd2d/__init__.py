@@ -47,7 +47,9 @@ from .sim import (
     load_config,
     presets,
     run,
+    setup,
     step,
+    trajectory,
 )
 
 __version__ = "0.1.0"
@@ -66,6 +68,6 @@ __all__ = [
     "DecayFit", "EnergyReport", "energy_report", "entropy_production",
     "fit_decay", "psi", "total_energy", "weighted_poincare_estimate",
     "RunResult", "SimConfig", "SystemState", "build_initial_state",
-    "embed_stationary", "load_config", "presets", "run", "step",
+    "embed_stationary", "load_config", "presets", "run", "setup", "step", "trajectory",
     "__version__",
 ]

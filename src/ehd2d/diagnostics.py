@@ -263,8 +263,8 @@ class EnergyReport:
     * ck_lhs = ||dv||_1^2 + ||dw||_1^2 + H + 2K, the left side of the
       Csiszar-Kullback comparison whose right side is W_rel. The entropy
       inequality ||f-g||_1^2 <= ((2||f||_1 + 4||g||_1)/3) int psi(f, g)
-      supports it: ck_lhs <= c W_rel with c = max(4, (2||v||_1 + 4M)/3,
-      (2||w||_1 + 4N)/3), which is 4 while the masses M, N are at most 2.
+      supports it: ck_lhs <= c W_rel with c = ck_constant = max(4, (2||v||_1
+      + 4M)/3, (2||w||_1 + 4N)/3), which is 4 while M and N are at most 2.
 
     lady_ratio is reported as 0.0 for an exactly zero velocity field (the
     underlying ratio is undefined there).
@@ -318,9 +318,15 @@ def energy_report(state, s):
         L=kin + vol * (0.5 * qv) + vol * (0.5 * qw) + 0.5 * h1,
         E1=2.0 * kin + vol * (l1v + l1w) + h1,
         E2=2.0 * kin + vol * (qv + qw) + h1,
-        ck_lhs=(vol * l1v) ** 2 + (vol * l1w) ** 2 + h1 + 2.0 * kin,
+        # numpy's scalar power rounds as Python's and overflows to inf, not an error
+        ck_lhs=float(np.float64(vol * l1v) ** 2 + np.float64(vol * l1w) ** 2 + h1 + 2.0 * kin),
         lady_ratio=lady,
     )
+
+
+def ck_constant(report, M, N):
+    """c of ck_lhs <= c W_rel for a report against the equilibrium of masses M, N."""
+    return max(4.0, (2.0 * report.mass_v + 4.0 * M) / 3.0, (2.0 * report.mass_w + 4.0 * N) / 3.0)
 
 
 def csv_header():

@@ -48,12 +48,12 @@ class LineSearchStall(SolverError):
 
 
 class CflViolation(SolverError):
-    """Requested time step exceeds the advective stability limit."""
+    """Requested time step is not positive or exceeds the advective stability limit."""
 
     def __init__(self, dt, limit):
         self.dt = dt
         self.limit = limit
-        super().__init__(f"dt = {dt:.3e} exceeds the CFL limit {limit:.3e}")
+        super().__init__(f"dt = {dt:.3e} is not in (0, {limit:.3e}], the CFL limit")
 
 
 class ZeroField(SolverError):
@@ -66,6 +66,10 @@ class EmptyWindow(SolverError):
 
 class NonpositiveValues(SolverError):
     """Positive data was required (log arguments, decay series, entropy weights)."""
+
+
+class NonFinite(SolverError, ValueError):
+    """A field holds inf or NaN: a computation overflowed, or bad data came in."""
 
 
 class ConfigError(Exception):

@@ -24,10 +24,10 @@ side must then have zero integral.
 
 solve_dirichlet and solve_neumann check the residual of every solve with
 the matrix-free stencil in the grid L2 norm sqrt(hx*hy*sum(r^2)) against
-the rounding a direct solve leaves, residual_bound = grid.ROUNDING *
-(|rhs| + ||Lap_h|| |x|) with ||Lap_h|| <= 4/hx^2 + 4/hy^2 (Grid2D.lap_norm),
-so the check means the same thing on every mesh and still catches a wrong
-solve. The check command holds each potential to the same bound.
+the rounding a direct solve leaves, grid.ROUNDING * (|rhs| + ||Lap_h|| |x|)
+with ||Lap_h|| <= 4/hx^2 + 4/hy^2 (Grid2D.lap_norm), so the check means the
+same thing on every mesh and still catches a wrong solve. residual() is
+that check; the check command holds each potential to it too.
 laplacian_matrix assembles the same operator for the Newton matrix of the
 stationary module and for the tests.
 """
@@ -135,23 +135,24 @@ def _grid_l2(grid, r):
     return float(np.sqrt(grid.vol * np.vdot(r, r)))
 
 
-def residual_bound(grid, b, x):
-    """Largest grid-L2 residual of Lap_h x = b that a direct solve may leave."""
-    return ROUNDING * (_grid_l2(grid, b) + grid.lap_norm * _grid_l2(grid, x))
+def residual(x, rhs, boundary="dirichlet"):
+    """Grid-L2 residual of Lap_h x = rhs, mean-free for Neumann, and its rounding bound."""
+    grid = rhs.grid
+    r = _stencil(x.data, grid, boundary) - rhs.data
+    if boundary == "neumann":
+        r -= r.mean()
+    bound = ROUNDING * (_grid_l2(grid, rhs.data) + grid.lap_norm * _grid_l2(grid, x.data))
+    return _grid_l2(grid, r), bound
 
 
 def _solve(rhs, boundary, what):
     """Transform solve of Lap_h x = rhs with its residual check."""
     grid = rhs.grid
-    b = rhs.data
-    x = transform_solve(b, (boundary, boundary), (grid.hy, grid.hx))
-    r = _stencil(x, grid, boundary) - b
-    if boundary == "neumann":
-        r -= r.mean()  # residual in the mean-zero subspace
-    res = _grid_l2(grid, r)
-    if res > residual_bound(grid, b, x):
+    x = ScalarField(grid, transform_solve(rhs.data, (boundary, boundary), (grid.hy, grid.hx)))
+    res, bound = residual(x, rhs, boundary)
+    if res > bound:
         raise NonConvergence(1, res, what)
-    return ScalarField(grid, x)
+    return x
 
 
 def solve_dirichlet(rhs):

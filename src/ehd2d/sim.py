@@ -15,12 +15,14 @@ charges. The splitting is first order in dt; the advective CFL limit
 dt <= cfl_safety * min(hx, hy) / max(|u|, |grad phi|) is enforced here (the
 individual substeps are unconditionally stable).
 
-run() drives a configured scenario to t_max with dt capped by the CFL
-limit, records an EnergyReport at t = 0 and every record_every-th step, and
-writes diagnostics.csv, snapshot matrices and the stationary solution the
-decay diagnostics compare against. Identical configurations produce
-byte-identical CSV output. A SolverError raised by a step keeps its class
-and names the step number, its start time t and its dt.
+setup() takes a config to its equilibrium and initial state, and
+trajectory() steps on from there with dt = min(time.dt, CFL limit, t_end - t);
+a SolverError from a step keeps its class and names the step number, its
+start time t and its dt. run() follows the trajectory to t_max, records an
+EnergyReport at t = 0 and every record_every-th step, and writes
+diagnostics.csv (byte-identical for identical configs), snapshot matrices
+and the stationary solution the decay diagnostics compare against.
+`ehd2d check` takes the first ten steps, whatever t_max is.
 
 load_config layers the configuration: DEFAULTS, then the chosen preset's
 defaults, then an INI-style file of [section] key = value lines, then
@@ -42,7 +44,6 @@ from .grid import (
     Grid2D,
     MacVectorField,
     ScalarField,
-    div_from_faces,
     grad_to_faces,
     integrate,
     load_matrix,
@@ -290,10 +291,8 @@ def _stream_velocity(grid, amplitude):
     xi = amplitude * np.sin(2.0 * np.pi * XN / grid.lx) * np.sin(np.pi * YN / grid.ly)
     # sin(2*pi) is only zero to roundoff; pin the wall nodes so the discrete
     # curl below is exactly no-slip.
-    xi[0, :] = 0.0
-    xi[-1, :] = 0.0
-    xi[:, 0] = 0.0
-    xi[:, -1] = 0.0
+    xi[[0, -1], :] = 0.0
+    xi[:, [0, -1]] = 0.0
     ux = (xi[1:, :] - xi[:-1, :]) / grid.hy
     uy = -(xi[:, 1:] - xi[:, :-1]) / grid.hx
     return MacVectorField(grid, ux, uy)
@@ -318,24 +317,16 @@ def build_initial_state(config, equilibrium=None):
         w0 = ScalarField.full(grid, config.N / grid.area)
     elif config.preset == "relax-small-mass":
         sigma = 0.12 * min(grid.lx, grid.ly)
-        v0 = _normalized(
-            grid, _gaussian(X, Y, 0.35 * grid.lx, 0.35 * grid.ly, sigma), config.M
-        )
-        w0 = _normalized(
-            grid, _gaussian(X, Y, 0.65 * grid.lx, 0.65 * grid.ly, sigma), config.N
-        )
+        v0 = _normalized(grid, _gaussian(X, Y, 0.35 * grid.lx, 0.35 * grid.ly, sigma), config.M)
+        w0 = _normalized(grid, _gaussian(X, Y, 0.65 * grid.lx, 0.65 * grid.ly, sigma), config.N)
     elif config.preset == "vortex-charge":
         sigma = 0.12 * min(grid.lx, grid.ly)
-        v0 = _normalized(
-            grid, _gaussian(X, Y, 0.3 * grid.lx, 0.5 * grid.ly, sigma), config.M
-        )
-        w0 = _normalized(
-            grid, _gaussian(X, Y, 0.7 * grid.lx, 0.5 * grid.ly, sigma), config.N
-        )
+        v0 = _normalized(grid, _gaussian(X, Y, 0.3 * grid.lx, 0.5 * grid.ly, sigma), config.M)
+        w0 = _normalized(grid, _gaussian(X, Y, 0.7 * grid.lx, 0.5 * grid.ly, sigma), config.N)
         u0 = _stream_velocity(grid, config.amplitude)
     else:  # near-equilibrium
         if equilibrium is None:
-            equilibrium = solve_pb(config.M, config.N, grid)
+            raise ValueError("near-equilibrium perturbs the equilibrium; pass it or use setup()")
         eta_v = np.sin(2.0 * np.pi * X / grid.lx) * np.cos(np.pi * Y / grid.ly)
         eta_w = np.cos(np.pi * X / grid.lx) * np.sin(2.0 * np.pi * Y / grid.ly)
         v0 = _normalized(grid, equilibrium.v.data * (1.0 + config.eps * eta_v), config.M)
@@ -352,6 +343,19 @@ def build_initial_state(config, equilibrium=None):
     return SystemState(u0, ScalarField.zeros(grid), v0, w0, phi0, 0.0)
 
 
+def setup(config):
+    """(equilibrium, initial state) of a config; warns when M + N exceeds rho0_warn."""
+    if config.M + config.N > config.rho0_warn:
+        warnings.warn(
+            f"total charge {config.M + config.N:.3g} exceeds the small-data "
+            f"threshold {config.rho0_warn:.3g}; decay diagnostics may be slow "
+            "or inconclusive",
+            stacklevel=3,
+        )
+    equilibrium = solve_pb(config.M, config.N, config.grid)
+    return equilibrium, build_initial_state(config, equilibrium)
+
+
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
@@ -366,7 +370,7 @@ def cfl_limit(state, cfl_safety=1.0):
 
 
 def step(state, dt, cfl_safety=1.0):
-    """Advance one step of the lagged splitting; raises CflViolation when dt is too big.
+    """Advance one step of the lagged splitting; CflViolation unless 0 < dt <= CFL limit.
 
     state.phi must be the Poisson solve of state.v - state.w (see
     SystemState); it is used as given, not recomputed. Every solve is direct
@@ -374,7 +378,7 @@ def step(state, dt, cfl_safety=1.0):
     step has no tolerance to set; a solve that misses it raises NonConvergence.
     """
     limit = cfl_limit(state, cfl_safety)
-    if dt > limit * (1.0 + 1e-9):
+    if not 0.0 < dt <= limit * (1.0 + 1e-9):
         raise CflViolation(dt, limit)
 
     v, w = step_charges(state.v, state.w, state.phi, state.u, dt)
@@ -383,6 +387,22 @@ def step(state, dt, cfl_safety=1.0):
 
     phi = solve_dirichlet(ScalarField(state.grid, v.data - w.data))
     return SystemState(u, p, v, w, phi, state.t + dt)
+
+
+def trajectory(state, config, t_end=math.inf):
+    """Yield (n, dt, state, last) after each step n toward t_end (see the module
+    docstring); last marks the step that reaches t_end, so never without one."""
+    end = t_end * (1.0 - 1e-12)
+    nstep = 0
+    while state.t < end:
+        dt = min(config.dt, cfl_limit(state, config.cfl_safety), t_end - state.t)
+        try:
+            state = step(state, dt, cfl_safety=config.cfl_safety)
+        except SolverError as exc:
+            exc.args = (f"step {nstep + 1} (t = {state.t:.9g}, dt = {dt:.6g}): {exc}",)
+            raise
+        nstep += 1
+        yield nstep, dt, state, state.t >= end
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +442,7 @@ def _write_snapshots(state, outdir, index, paths):
 
 def run(config, write_outputs=True):
     """Drive the configured scenario to t_max; see the module docstring."""
-    grid = config.grid
-    if config.M + config.N > config.rho0_warn:
-        warnings.warn(
-            f"total charge {config.M + config.N:.3g} exceeds the small-data "
-            f"threshold {config.rho0_warn:.3g}; decay diagnostics may be slow "
-            "or inconclusive",
-            stacklevel=2,
-        )
-    equilibrium = solve_pb(config.M, config.N, grid)
-    state = build_initial_state(config, equilibrium)
+    equilibrium, state = setup(config)
 
     reports = []
     snapshots = []
@@ -441,22 +452,11 @@ def run(config, write_outputs=True):
         export_stationary(equilibrium, os.path.join(config.outdir, "stationary"))
         csv_path = os.path.join(config.outdir, "diagnostics.csv")
 
-    nstep = 0
     if config.t_max > 0.0:
         reports.append(energy_report(state, equilibrium))
         if write_outputs:
-            _write_snapshots(state, config.outdir, nstep, snapshots)
-        end = config.t_max * (1.0 - 1e-12)
-        while state.t < end:
-            dt = min(config.dt, cfl_limit(state, config.cfl_safety),
-                     config.t_max - state.t)
-            try:
-                state = step(state, dt, cfl_safety=config.cfl_safety)
-            except SolverError as exc:
-                exc.args = (f"step {nstep + 1} (t = {state.t:.9g}, dt = {dt:.6g}): {exc}",)
-                raise
-            nstep += 1
-            done = state.t >= end
+            _write_snapshots(state, config.outdir, 0, snapshots)
+        for nstep, _, state, done in trajectory(state, config, config.t_max):
             if nstep % config.record_every == 0 or done:
                 reports.append(energy_report(state, equilibrium))
             if write_outputs and (

@@ -135,7 +135,10 @@ def _newton_direction(A, v, w, R, M, N, vol):
     Z = splu(B, permc_spec="MMD_AT_PLUS_A", **NEWTON_LU).solve(np.column_stack((R, U)))
     Z_R, Z_U = Z[:, 0], Z[:, 1:]
     C = np.eye(2) - U.T @ Z_U
-    return Z_R + Z_U @ np.linalg.solve(C, U.T @ Z_R)
+    try:
+        return Z_R + Z_U @ np.linalg.solve(C, U.T @ Z_R)
+    except np.linalg.LinAlgError:  # C singular from overflow: solve_pb reports no direction
+        return np.full_like(R, np.nan)
 
 
 def solve_pb(M, N, grid, max_iter=50, phi0=None):
@@ -195,17 +198,8 @@ def solve_pb(M, N, grid, max_iter=50, phi0=None):
         history.append((res, alpha, halvings))
         phi = phi + alpha * delta
 
-    shape = (grid.ny, grid.nx)
-    return StationarySolution(
-        ScalarField(grid, phi.reshape(shape)),
-        ScalarField(grid, dens_v.reshape(shape)),
-        ScalarField(grid, dens_w.reshape(shape)),
-        float(M),
-        float(N),
-        res,
-        k,
-        history,
-    )
+    fields = (ScalarField(grid, a.reshape(grid.ny, grid.nx)) for a in (phi, dens_v, dens_w))
+    return StationarySolution(*fields, float(M), float(N), res, k, history)
 
 
 def sinh_form_check(s):

@@ -138,8 +138,12 @@ def _sweep(c, upper, lower, dt):
     # diagonal are nonpositive)
     norm_m = float((ab[1] - ab[0] - ab[2]).max())
     b = c.ravel()
-    # non-finite input ends in the residual check below, as a NonConvergence
-    x = solve_banded((1, 1), ab, b, check_finite=False)
+    # non-finite input ends in the residual check below, a zero pivot here,
+    # both as a NonConvergence
+    try:
+        x = solve_banded((1, 1), ab, b, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(1, np.inf, "charge transport solve") from exc
     r = ab[1] * x - b
     r[:-1] += ab[0, 1:] * x[1:]
     r[1:] += ab[2, :-1] * x[:-1]

@@ -4,14 +4,19 @@ Exercised through cli.main(argv) so the tests see the same dispatch,
 error mapping, and printing as a shell user, without spawning processes.
 """
 
+import contextlib
 import dataclasses
+import io
 import os
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ehd2d import cli, load_matrix, save_matrix
+from ehd2d import cli, diagnostics, load_matrix, save_matrix, sim
 
 FAST = ["--set", "grid.nx=16", "--set", "grid.ny=16", "--set", "time.dt=1e-3",
         "--set", "time.t_max=3e-3"]
@@ -340,7 +345,8 @@ class TestCheckCommand:
 
         def moved(state, s):
             rep = real(state, s)
-            c = max(4.0, (2.0 * rep.mass_v + 4e6) / 3.0, (2.0 * rep.mass_w + 8e6) / 3.0)
+            c = diagnostics.ck_constant(rep, 1e6, 2e6)
+            assert c == pytest.approx(4e6, rel=1e-12)
             return dataclasses.replace(rep, ck_lhs=factor * c * rep.W_rel)
 
         monkeypatch.setattr(cli, "energy_report", moved)
@@ -349,6 +355,140 @@ class TestCheckCommand:
         assert code == expected, printed
         tag = "PASS" if expected == 0 else "FAIL"
         assert f"{tag} Csiszar-Kullback inequality" in printed
+
+
+    def test_burst_failure_names_step_t_and_dt(self, tmp_path, capsys, monkeypatch):
+        """check steps through sim.trajectory, so a solver failure in its
+        burst says where it happened, as it does in run, and exits 2."""
+        from ehd2d.errors import NonConvergence
+        calls = []
+        inner = sim.step_charges
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise NonConvergence(1, 2.5e-3, "charge transport solve")
+            return inner(*args)
+
+        monkeypatch.setattr(sim, "step_charges", failing)
+        code = cli.main(["check", "--preset", "relax-small-mass", *FAST,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["solver error: step 3 (t = 0.002, dt = 0.001): charge "
+                       "transport solve did not converge after 1 iterations "
+                       "(residual 2.500e-03)"]
+
+    def test_large_mass_warns(self, tmp_path, capsys):
+        """check sets up through sim.setup, which warns past rho0_warn."""
+        with pytest.warns(UserWarning, match="small-data threshold"):
+            code = cli.main(["check", "--preset", "relax-small-mass", *FAST,
+                             "--set", "initial.M=20", "--set", "initial.N=20",
+                             "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().out
+
+    def test_burst_is_ten_steps_whatever_t_max(self, tmp_path, capsys, monkeypatch):
+        """FAST ends at t_max = 3e-3, three steps of dt = 1e-3; the burst
+        takes ten steps of sim.trajectory with no end time all the same."""
+        seen = []
+        inner = sim.trajectory
+
+        def recorded(*args, **kwargs):
+            for item in inner(*args, **kwargs):
+                seen.append(item)
+                yield item
+
+        monkeypatch.setattr(sim, "trajectory", recorded)
+        code = cli.main(["check", "--preset", "relax-small-mass", *FAST,
+                         "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().out
+        assert [n for n, _, _, _ in seen] == list(range(1, 11))
+        assert [dt for _, dt, _, _ in seen] == [1e-3] * 10
+        assert not any(last for _, _, _, last in seen)
+        assert seen[-1][2].t == pytest.approx(1e-2, rel=1e-12)
+
+    def test_burst_takes_the_dt_of_run(self, tmp_path, capsys, monkeypatch):
+        """The CFL limit binds and loosens as the vortex decays; each burst
+        step takes min(time.dt, CFL limit), the dt run takes, and not the
+        smallest dt so far."""
+        argv = ["--preset", "vortex-charge", "--set", "grid.nx=16", "--set", "grid.ny=16",
+                "--set", "initial.amplitude=2", "--set", "time.dt=0.05",
+                "--set", "time.t_max=1", "--out", str(tmp_path / "out")]
+        dts = {}
+        inner = sim.step
+        for command in ("check", "run"):
+            dts[command] = []
+
+            def recorded(state, dt, **kwargs):
+                if len(dts[command]) == 10:
+                    raise StopRun
+                dts[command].append(dt)
+                return inner(state, dt, **kwargs)
+
+            monkeypatch.setattr(sim, "step", recorded)
+            with contextlib.suppress(StopRun):
+                cli.main([command, "--quiet", *argv])
+        assert dts["check"] == dts["run"]
+        assert dts["check"][-1] > dts["check"][0], "test needs a CFL limit that loosens"
+
+
+class StopRun(Exception):
+    """Ends a run after the steps a test needs."""
+
+
+# Each float key of the config, drawn log-uniformly across the positive
+# finite doubles (or left at its default); grids up to 8^2, and runs cut
+# after MAX_STEPS steps, since a tiny dt or a fast vortex would otherwise
+# take millions.
+FLOAT_KEYS = [key for key, value in sim.DEFAULTS.items() if isinstance(value, float)]
+MAX_STEPS = 3
+
+
+@st.composite
+def command_lines(draw):
+    argv = ["--preset", draw(st.sampled_from(sim.presets())),
+            "--set", f"grid.nx={draw(st.integers(3, 8))}",
+            "--set", f"grid.ny={draw(st.integers(3, 8))}"]
+    for section, key in FLOAT_KEYS:
+        if draw(st.booleans()):
+            value = 10.0 ** draw(st.floats(-323.3, 308.25))
+            argv += ["--set", f"{section}.{key}={value!r}"]
+    return argv
+
+
+class TestAnyFiniteConfig:
+    """Whatever finite values the config holds, the CLI ends with an exit
+    code and at most one error line, never a traceback."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(command=st.sampled_from(["run", "check"]), argv=command_lines())
+    def test_exit_code_and_one_error_line(self, command, argv):
+        calls = []
+        inner = sim.step
+
+        def capped(*args, **kwargs):
+            calls.append(args)
+            if command == "run" and len(calls) > MAX_STEPS:
+                raise StopRun
+            return inner(*args, **kwargs)
+
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sim, "step", capped), \
+                warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            try:
+                code = cli.main([command, "--quiet", *argv, "--out", os.path.join(tmp, "o")])
+            except StopRun:
+                return
+        assert code in ((0, 1, 2) if command == "run" else (0, 1, 2, 3)), err.getvalue()
+        lines = err.getvalue().splitlines()
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+        elif code == 2:
+            assert len(lines) == 1 and lines[0].startswith("solver error:"), lines
+        else:
+            assert lines == []
 
 
 class TestEntryPoint:

@@ -59,12 +59,6 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             Grid2D(8, 8, lx=-1.0)
 
-    def test_grid_equality_and_key(self):
-        a = Grid2D(8, 8, 2.0, 2.0)
-        b = Grid2D(8, 8, 2.0, 2.0)
-        assert a == b and hash(a) == hash(b)
-        assert a.key() == b.key()
-
 
 class TestFieldContainers:
     def test_scalar_field_shape_checked(self):

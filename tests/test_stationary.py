@@ -8,7 +8,7 @@ the potential amplitude vanishes with the total mass.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 from ehd2d import (
@@ -50,6 +50,8 @@ ROUNDING_FLOORS = [(8192, 3, 5.0, 10.0), (16, 16, 1e6, 2e6)]
 # grid and masses at which J's rounding once stalled the line search
 LINE_SEARCH_CASE = (7, 10, 0.3470495617567223, 3.167806813296821,
                     5851.277307903307, 5085.696403023489)
+LINE_SEARCH_DRAW = dict(zip(("shape", "log_lx", "log_ly", "log_m", "log_n"),
+                            (LINE_SEARCH_CASE[:2], *np.log10(LINE_SEARCH_CASE[2:]))))
 
 
 class TestSymmetricMasses:
@@ -229,8 +231,13 @@ class TestRoundingStop:
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(log_m=st.floats(-3.0, 6.0), log_n=st.floats(-3.0, 6.0), shape=GRID_SHAPES,
            log_lx=st.floats(-1.0, 1.0), log_ly=st.floats(-1.0, 1.0))
+    @example(**LINE_SEARCH_DRAW)
     def test_converges_at_any_mass_on_any_grid(self, log_m, log_n, shape, log_lx, log_ly):
-        """M and N log-uniform in [1e-3, 1e6], domain sides in [0.1, 10]."""
+        """M and N log-uniform in [1e-3, 1e6], domain sides in [0.1, 10].
+
+        The draws shift with unrelated edits (see test_transport's
+        PROPERTY_SETTINGS), so the draw that found the line-search stall is
+        pinned."""
         M, N = 10.0 ** log_m, 10.0 ** log_n
         s = solve_pb(M, N, Grid2D(*shape, 10.0 ** log_lx, 10.0 ** log_ly))
         assert s.residual <= newton_bound(s)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.sparse.linalg import splu
 
@@ -393,8 +393,31 @@ def transport_cases(draw):
             stream_velocity(g, xi), dt)
 
 
+# derandomize fixes the seed, but not the draws: hypothesis (as of 6.155) also
+# draws literal constants it collects from every loaded local module, so an
+# edit to an unrelated module or test file changes the examples a property
+# sees. The hard inputs found so far are pinned below with @example, so every
+# run tries them whatever the random part draws.
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=80, deadline=None,
                              database=None)
+
+
+def pinned_case(nx, ny, lx, ly, v, w, dt, phi=0.0):
+    """A transport_cases draw given by hand, at rest; fields broadcast."""
+    g = Grid2D(nx, ny, lx, ly)
+    v, w, phi = (ScalarField(g, np.broadcast_to(f, (ny, nx))) for f in (v, w, phi))
+    return g, v, w, phi, MacVectorField.zeros(g), dt
+
+
+# An unsolved line misses its mass by eps * dt * ||L||: without the rescale
+# in transport._sweep, mass 1.0 ended at 0.99999999999542 here, and the
+# Maxwellian moved by 4.1e-12.
+MASS_AT_LARGE_DT = pinned_case(3, 7, 1.0, 1.0, v=0.0, w=1.0, dt=2e3)
+MAXWELLIAN_AT_LARGE_DT = pinned_case(3, 3, 1.0, 1.0, v=1.0, w=1.0, dt=1e4)
+# One step leaves densities below eps/2 in the far cells, where psi once
+# returned NaN, so the total energy was NaN.
+DENSITY_FAR_BELOW_ONE = pinned_case(3, 5, 3.0, 3.0, v=77.0,
+                                    w=np.pad([[1.0]], ((0, 4), (0, 2))), dt=1.0)
 
 
 class TestStepProperties:
@@ -409,6 +432,7 @@ class TestStepProperties:
 
     @PROPERTY_SETTINGS
     @given(transport_cases())
+    @example(MASS_AT_LARGE_DT)
     def test_mass_exact_and_densities_nonnegative(self, case):
         g, v, w, phi, u, dt = case
         assert np.abs(div_from_faces(u).data).max() <= 1e-12 * (1.0 + u.max_speed() / min(g.hx, g.hy))
@@ -420,6 +444,7 @@ class TestStepProperties:
 
     @PROPERTY_SETTINGS
     @given(transport_cases())
+    @example(MAXWELLIAN_AT_LARGE_DT)
     def test_maxwellian_fixed(self, case):
         g, _, _, phi, _, dt = case
         u = MacVectorField.zeros(g)
@@ -432,6 +457,7 @@ class TestStepProperties:
 
     @PROPERTY_SETTINGS
     @given(transport_cases())
+    @example(DENSITY_FAR_BELOW_ONE)
     def test_full_step_keeps_invariants(self, case):
         """One coupled sim.step from a state whose potential solves Poisson
         for the drawn charges, at the drawn dt capped by the CFL limit."""
