@@ -21,20 +21,44 @@ U = [sqrt(vol/M) v, sqrt(vol/N) w] (two columns),
     vol^{-1} Hess J = B - U U^T,
 
 the sparse matrix B plus the rank-two term from the normalizing integrals.
-The step solves (B - U U^T) delta = R by the Sherman-Morrison-Woodbury
-identity: one sparse LU of B, one three-column solve B Z = [R, U], and the
-2x2 capacitance matrix C = I - U^T Z_U give
 
-    delta = Z_R + Z_U C^{-1} U^T Z_R.
+The mirrors x -> lx - x and y -> ly - y permute the cells and keep the
+Dirichlet closure, so they leave J unchanged; J being strictly convex, its
+unique minimizer is even about both mid-lines. At an even phi, v, w and R
+are even and the Hessian commutes with both mirrors, so the Newton
+direction is even too, and from phi = 0 every iterate stays even. The
+direction is therefore solved on the lower-left ceil(ny/2) x ceil(nx/2)
+quarter of the cells. Let P extend a quarter array to the grid by mirroring
+(cell i of an axis of n cells takes quarter cell min(i, n - 1 - i)) and S
+restrict to the quarter. Then delta = P delta_q, where
 
-The LU of B is the only sparse factorization in the package, and at 256^2
-it is most of the solve's time and memory. It keeps the minimum-degree
-ordering of B + B^T, so its fill is fixed, but takes SuperLU panels of 4
-columns and relaxed supernodes of at most 6 (NEWTON_LU) in place of scipy's
+    S (B - U U^T) P delta_q = S R,  that is  (B_q - U_q V^T) delta_q = R_q,
+
+with B_q = diag(v_q + w_q) - A_q, the folded Laplacian A_q = S Lap_h P (on
+an even axis the mid-line closes with ghost = interior; on an odd one the
+middle cell couples with weight 2 to its neighbour), U_q = S U and
+V = P^T U = mult U_q, where mult counts the cells each quarter cell stands
+for (4, 2 or 1). The Sherman-Morrison-Woodbury identity solves it with one
+sparse LU of B_q, one three-column solve B_q Z = [R_q, U_q] and the 2x2
+capacitance matrix C = I - V^T Z_U:
+
+    delta_q = Z_R + Z_U C^{-1} V^T Z_R.
+
+R_q is the mean of R over each cell's orbit under the mirrors, so the
+rounding by which the computed R misses being even does not enter delta,
+and mirroring delta_q back keeps phi exactly even. The residual, the stop
+and the line search use every cell, so convergence is certified on the
+full grid, which no matrix is assembled for: R takes the five-point
+stencil.
+
+The LU of B_q is the only sparse factorization in the package. At 256^2
+its fill is a fifth of the full-grid LU's, and it still takes about two
+thirds of the solve's time. It keeps the minimum-degree ordering of
+B_q + B_q^T, so its fill is fixed, but takes SuperLU panels of 4 columns and
+relaxed supernodes of at most 6 (NEWTON_LU) in place of scipy's
 general-purpose 20 and 10. SuperLU's panel workspace grows as n times the
 panel width, and on this five-point matrix the wider panels and larger
-supernodes buy no speed: at 256^2 the smaller ones take about 18 MB off the
-peak memory of `ehd2d stationary` and a quarter off each factorization.
+supernodes buy no speed.
 
 J is strictly convex for every M, N > 0 (the log-integral terms are convex,
 the Dirichlet energy strictly so), so B - U U^T is symmetric positive
@@ -54,7 +78,7 @@ from scipy.sparse.linalg import splu
 from .errors import LineSearchStall, NonConvergence
 from .fluid import body_force
 from .grid import ROUNDING, ScalarField, grad_to_faces, h1_seminorm, save_matrix
-from .poisson import apply_dirichlet_laplacian, laplacian_matrix
+from .poisson import _lap1d, _stencil, apply_dirichlet_laplacian
 
 
 def _log_int_exp(z, vol):
@@ -110,65 +134,111 @@ def functional_J(phi, M, N):
 
 # SuperLU options for the Newton LU (see the module docstring). Only the
 # supernode partition changes; the ordering, and so the fill, stay those of
-# MMD_AT_PLUS_A. One factorization of B at phi = 0 for the relax-small-mass
-# masses (2-vCPU Xeon, OPENBLAS_NUM_THREADS=1; min of 3, process peak RSS):
+# MMD_AT_PLUS_A. One factorization of the folded B at phi = 0 for the
+# relax-small-mass masses (2-vCPU Xeon, OPENBLAS_NUM_THREADS=1; min of 3,
+# process peak RSS):
 #
 #   grid    scipy default (20, 10)    (4, 6)             L + U nnz
-#   128^2    43 ms,  82.6 MB           32 ms,  77.8 MB      664 094
-#   256^2   290 ms, 136.7 MB          218 ms, 118.6 MB    3 407 022
-#   512^2   1.50 s,  378 MB            1.17 s,  307 MB   16 849 798
+#   128^2     6 ms,  70.5 MB            5 ms,  69.0 MB      126 532
+#   256^2    34 ms,  82.5 MB           26 ms,  77.7 MB      664 094
+#   512^2   193 ms, 137.0 MB          151 ms, 117.9 MB    3 407 022
 #
-# (2, 4) saves 2 MB more at 256^2 but factors slower there; (8, 10) saves
-# only 12 MB.
+# (2, 4) saves 2 MB more at 512^2 but is no faster; (8, 10) saves only
+# 12 MB there.
 NEWTON_LU = {"panel_size": 4, "relax": 6}
 
 
-def _newton_direction(A, v, w, R, M, N, vol):
-    """Exact Newton direction: solves (B - U U^T) delta = R by Woodbury.
+def _mirror(n):
+    """Quarter index of each cell on an axis of n cells: i -> min(i, n - 1 - i)."""
+    i = np.arange(n)
+    return np.minimum(i, n - 1 - i)
 
-    B = diag(v + w) - A with A the Dirichlet Lap_h, U = [sqrt(vol/M) v,
-    sqrt(vol/N) w]. The LU of B lives only in this call, so it is freed
-    before the next iteration makes its own.
+
+def _folded_laplacian(grid):
+    """Dirichlet Lap_h on fields even about both mid-lines, acting on the
+    lower-left quarter of cells (C order, j major).
+
+    Per axis it is the 1-D operator times the mirror extension P (cell i of
+    the full axis takes quarter cell min(i, n - 1 - i)), restricted to the
+    quarter's rows; the 2-D operator is their Kronecker sum, as in
+    poisson.laplacian_matrix.
+    """
+    def folded(n, h):
+        m = _mirror(n)
+        P = sp.csr_matrix((np.ones(n), (np.arange(n), m)))
+        return (_lap1d(n, h, "dirichlet") @ P)[: P.shape[1]]
+
+    return sp.kronsum(folded(grid.nx, grid.hx), folded(grid.ny, grid.hy), format="csr")
+
+
+def _fold(x):
+    """Mean of a cell array over its orbit under both mirrors, on the lower-left quarter."""
+    x = (0.5 * x + 0.5 * x[::-1])[: (x.shape[0] + 1) // 2]
+    return (0.5 * x + 0.5 * x[:, ::-1])[:, : (x.shape[1] + 1) // 2]
+
+
+def _unfold(xq, shape):
+    """The cell array of the given shape that is even about both mid-lines
+    and equals xq on the lower-left quarter."""
+    return xq.reshape((shape[0] + 1) // 2, (shape[1] + 1) // 2)[np.ix_(*map(_mirror, shape))]
+
+
+def _multiplicity(shape):
+    """Number of full-grid cells each lower-left quarter cell stands for: 4, 2 or 1."""
+    return np.outer(*(np.bincount(_mirror(n)) for n in shape)).ravel()
+
+
+def _newton_direction(Aq, mult, v, w, R, M, N, vol):
+    """Exact Newton direction on the quarter: solves (B_q - U V^T) delta = R
+    by Woodbury.
+
+    v, w and R are quarter cell vectors, B_q = diag(v + w) - Aq with Aq the
+    folded Lap_h, U = [sqrt(vol/M) v, sqrt(vol/N) w] and V = mult U. The LU
+    of B_q lives only in this call, so it is freed before the next iteration
+    makes its own.
     """
     U = np.column_stack((np.sqrt(vol / M) * v, np.sqrt(vol / N) * w))
-    B = (sp.diags(v + w) - A).tocsc()
+    V = mult[:, None] * U
+    B = (sp.diags(v + w) - Aq).tocsc()
     Z = splu(B, permc_spec="MMD_AT_PLUS_A", **NEWTON_LU).solve(np.column_stack((R, U)))
     Z_R, Z_U = Z[:, 0], Z[:, 1:]
-    C = np.eye(2) - U.T @ Z_U
+    C = np.eye(2) - V.T @ Z_U
     try:
-        return Z_R + Z_U @ np.linalg.solve(C, U.T @ Z_R)
+        return Z_R + Z_U @ np.linalg.solve(C, V.T @ Z_R)
     except np.linalg.LinAlgError:  # C singular from overflow: solve_pb reports no direction
         return np.full_like(R, np.nan)
 
 
-def solve_pb(M, N, grid, max_iter=50, phi0=None):
-    """Damped Newton solve of the discrete Poisson-Boltzmann problem.
+def solve_pb(M, N, grid, max_iter=50):
+    """Damped Newton solve of the discrete Poisson-Boltzmann problem from phi = 0.
 
     Terminates when the grid-L2 norm of R(phi) drops to the rounding that
     evaluating R leaves, grid.ROUNDING ((||Lap_h|| + max(v + w)) |phi| + |v|
     + |w|), where ||Lap_h|| + max(v + w) bounds the norm of the Newton matrix
     B. The stop scales with the data, so it holds at any mass and on any
-    grid. phi0 overrides the zero initial guess (used by the uniqueness
-    checks).
+    grid. Each direction is solved on the lower-left quarter and mirrored,
+    so every iterate is exactly even about both mid-lines; the residual, the
+    stop and the line search see every cell.
     """
     if M <= 0.0 or N <= 0.0:
         raise ValueError("masses must be positive")
-    A = laplacian_matrix(grid, "dirichlet")
+    shape = (grid.ny, grid.nx)
+    Aq = _folded_laplacian(grid)
+    mult = _multiplicity(shape)
     vol = grid.vol
-    n = grid.nx * grid.ny
-    phi = np.zeros(n) if phi0 is None else phi0.data.ravel().copy()
+    phi = np.zeros(shape)
 
-    def J_of(vec):
-        return functional_J(ScalarField(grid, vec.reshape(grid.ny, grid.nx)), M, N)
+    def J_of(arr):
+        return functional_J(ScalarField(grid, arr), M, N)
 
-    def norm(vec):
-        return float(np.sqrt(vol * (vec @ vec)))
+    def norm(arr):
+        return float(np.sqrt(vol * np.vdot(arr, arr)))
 
     history = []
     for k in range(max_iter + 1):
         dens_v = _normalized_exp(phi, M, vol)
         dens_w = _normalized_exp(-phi, N, vol)
-        R = A @ phi - dens_v + dens_w
+        R = _stencil(phi, grid, "dirichlet") - dens_v + dens_w
         res = norm(R)
         norm_b = grid.lap_norm + float((dens_v + dens_w).max())
         if res <= ROUNDING * (norm_b * norm(phi) + norm(dens_v) + norm(dens_w)):
@@ -176,8 +246,9 @@ def solve_pb(M, N, grid, max_iter=50, phi0=None):
             break
         if k == max_iter:
             raise NonConvergence(k, res, "Poisson-Boltzmann Newton")
-        delta = _newton_direction(A, dens_v, dens_w, R, M, N, vol)
-        slope = -vol * float(R @ delta)
+        quarter = (_fold(a).ravel() for a in (dens_v, dens_w, R))
+        delta = _unfold(_newton_direction(Aq, mult, *quarter, M, N, vol), shape)
+        slope = -vol * float(np.vdot(R, delta))
         if not (np.isfinite(delta).all() and slope < 0.0):
             what = f"Poisson-Boltzmann Newton (no descent direction at iteration {k + 1})"
             raise NonConvergence(k, res, what)
@@ -198,7 +269,7 @@ def solve_pb(M, N, grid, max_iter=50, phi0=None):
         history.append((res, alpha, halvings))
         phi = phi + alpha * delta
 
-    fields = (ScalarField(grid, a.reshape(grid.ny, grid.nx)) for a in (phi, dens_v, dens_w))
+    fields = (ScalarField(grid, a) for a in (phi, dens_v, dens_w))
     return StationarySolution(*fields, float(M), float(N), res, k, history)
 
 

@@ -3,11 +3,14 @@
 The solver minimizes a strictly convex functional, so beyond the residual
 contract we can test global properties: the solution is the unique
 minimizer from any start, symmetric masses pin the potential at zero, and
-the potential amplitude vanishes with the total mass.
+the potential amplitude vanishes with the total mass. solve_pb solves its
+Newton directions on a quarter of the grid; full_grid_solve below is the
+Newton on every cell that it replaced, kept here as the reference.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
@@ -43,6 +46,58 @@ def newton_bound(s):
     return ROUNDING * (norm_b * norm(phi) + norm(v) + norm(w))
 
 
+def full_grid_direction(A, v, w, R, M, N, vol):
+    """Exact Newton direction on every cell: (B - U U^T) delta = R by
+    Woodbury, with B = diag(v + w) - A, A the Dirichlet Lap_h and
+    U = [sqrt(vol/M) v, sqrt(vol/N) w]."""
+    U = np.column_stack((np.sqrt(vol / M) * v, np.sqrt(vol / N) * w))
+    B = (sp.diags(v + w) - A).tocsc()
+    Z = splu(B, permc_spec="MMD_AT_PLUS_A", **stationary.NEWTON_LU).solve(
+        np.column_stack((R, U)))
+    Z_R, Z_U = Z[:, 0], Z[:, 1:]
+    C = np.eye(2) - U.T @ Z_U
+    return Z_R + Z_U @ np.linalg.solve(C, U.T @ Z_R)
+
+
+def full_grid_solve(M, N, grid, phi):
+    """solve_pb's damped Newton from the cell array phi, with every
+    direction solved on the full grid by laplacian_matrix: the same
+    residual, rounding stop and line search. Returns phi, v, w as cell
+    arrays and the iteration count."""
+    A = laplacian_matrix(grid, "dirichlet")
+    vol = grid.vol
+    phi = phi.ravel()
+
+    def maxwellian(z, mass):
+        e = np.exp(z - z.max())
+        return mass * e / (vol * e.sum())
+
+    def norm(vec):
+        return float(np.sqrt(vol * (vec @ vec)))
+
+    def J_of(vec):
+        return functional_J(ScalarField(grid, vec.reshape(grid.ny, grid.nx)), M, N)
+
+    for k in range(51):
+        v, w = maxwellian(phi, M), maxwellian(-phi, N)
+        R = A @ phi - v + w
+        norm_b = grid.lap_norm + float((v + w).max())
+        if norm(R) <= ROUNDING * (norm_b * norm(phi) + norm(v) + norm(w)):
+            return (*(a.reshape(grid.ny, grid.nx) for a in (phi, v, w)), k)
+        delta = full_grid_direction(A, v, w, R, M, N, vol)
+        slope = -vol * float(R @ delta)
+        J0 = J_of(phi)
+        logs = (M * abs(stationary._log_int_exp(phi, vol))
+                + N * abs(stationary._log_int_exp(-phi, vol)))
+        fuzz = ROUNDING * (1.0 + abs(J0) + logs)
+        alpha = 1.0
+        while J_of(phi + alpha * delta) > J0 + 1e-4 * alpha * slope + fuzz:
+            alpha *= 0.5
+            assert alpha >= 1e-12, "reference line search stalled"
+        phi = phi + alpha * delta
+    raise AssertionError("reference Newton did not converge in 50 iterations")
+
+
 # (M, N) of TestExactNewton on 32^2, 64^2 and 128^2 over 4x4
 NEWTON_MASSES = [(0.05, 0.1), (30, 40), (50, 60), (100, 150), (1000, 1500)]
 # (nx, ny, M, N) over 4x4 whose residual floor lay above a fixed 1e-10 stop
@@ -52,6 +107,10 @@ LINE_SEARCH_CASE = (7, 10, 0.3470495617567223, 3.167806813296821,
                     5851.277307903307, 5085.696403023489)
 LINE_SEARCH_DRAW = dict(zip(("shape", "log_lx", "log_ly", "log_m", "log_n"),
                             (LINE_SEARCH_CASE[:2], *np.log10(LINE_SEARCH_CASE[2:]))))
+# (nx, ny, lx, ly, M, N) of every solve above
+NEWTON_CASES = ([(n, n, 4.0, 4.0, M, N) for n in (32, 64, 128) for M, N in NEWTON_MASSES]
+                + [(nx, ny, 4.0, 4.0, M, N) for nx, ny, M, N in ROUNDING_FLOORS]
+                + [LINE_SEARCH_CASE])
 
 
 class TestSymmetricMasses:
@@ -141,31 +200,41 @@ class TestExactNewton:
         assert s.iterations <= 6, f"{s.iterations} iterations at M={M}, N={N}, {n}^2"
 
     def test_direction_matches_dense_exact_jacobian(self):
-        """On a small anisotropic grid at a random potential, the Woodbury
-        direction equals the dense solve with the Jacobian of R, taken
-        column by column by complex-step differentiation."""
-        g = Grid2D(6, 5, 1.3, 0.7)
-        M, N, vol = 2.0, 3.0, g.vol
-        A = laplacian_matrix(g, "dirichlet")
-        phi = np.random.default_rng(3).standard_normal(g.nx * g.ny)
+        """At a random potential even about both mid-lines, the direction
+        solved on the quarter and mirrored equals the dense solve with the
+        Jacobian of R on the full grid, taken column by column by
+        complex-step differentiation. The grids cover odd and even cell
+        counts on each axis."""
+        M, N = 2.0, 3.0
+        rng = np.random.default_rng(3)
+        for nx, ny in ((6, 5), (5, 6), (7, 7), (6, 6), (3, 4)):
+            g = Grid2D(nx, ny, 1.3, 0.7)
+            vol, shape = g.vol, (ny, nx)
+            A = laplacian_matrix(g, "dirichlet")
+            phi_q = rng.standard_normal(((ny + 1) // 2, (nx + 1) // 2))
+            phi = stationary._unfold(phi_q, shape).ravel()
 
-        def residual(z):
-            ep, em = np.exp(z), np.exp(-z)
-            return A @ z - M * ep / (vol * ep.sum()) + N * em / (vol * em.sum())
+            def residual(z):
+                ep, em = np.exp(z), np.exp(-z)
+                return A @ z - M * ep / (vol * ep.sum()) + N * em / (vol * em.sum())
 
-        R = residual(phi).real
-        h = 1e-30
-        jac = np.column_stack([residual(phi + 1j * h * e).imag / h
-                               for e in np.eye(phi.size)])
-        ref = np.linalg.solve(jac, -R)
-        v = M * np.exp(phi) / (vol * np.exp(phi).sum())
-        w = N * np.exp(-phi) / (vol * np.exp(-phi).sum())
-        delta = stationary._newton_direction(A, v, w, R, M, N, vol)
-        rel = np.linalg.norm(delta - ref) / np.linalg.norm(ref)
-        assert rel <= 1e-10, f"relative gap {rel:.3e}"
-        # the rank-two Hessian term is not negligible here
-        quasi = np.linalg.solve(np.diag(v + w) - A.toarray(), R)
-        assert np.linalg.norm(quasi - ref) >= 1e-3 * np.linalg.norm(ref)
+            R = residual(phi).real
+            h = 1e-30
+            jac = np.column_stack([residual(phi + 1j * h * e).imag / h
+                                   for e in np.eye(phi.size)])
+            ref = np.linalg.solve(jac, -R)
+            v = M * np.exp(phi) / (vol * np.exp(phi).sum())
+            w = N * np.exp(-phi) / (vol * np.exp(-phi).sum())
+            quarter = (stationary._fold(a.reshape(shape)).ravel() for a in (v, w, R))
+            delta_q = stationary._newton_direction(
+                stationary._folded_laplacian(g), stationary._multiplicity(shape),
+                *quarter, M, N, vol)
+            delta = stationary._unfold(delta_q, shape).ravel()
+            rel = np.linalg.norm(delta - ref) / np.linalg.norm(ref)
+            assert rel <= 1e-10, f"relative gap {rel:.3e} on {nx}x{ny}"
+            # the rank-two Hessian term is not negligible here
+            quasi = np.linalg.solve(np.diag(v + w) - A.toarray(), R)
+            assert np.linalg.norm(quasi - ref) >= 1e-3 * np.linalg.norm(ref)
 
     def test_history_ends_at_reported_residual(self):
         s = solve_pb(30, 40, Grid2D(32, 32, 4.0, 4.0))
@@ -243,6 +312,9 @@ class TestRoundingStop:
         assert s.residual <= newton_bound(s)
         assert integrate(s.v) == pytest.approx(M, rel=1e-13)
         assert integrate(s.w) == pytest.approx(N, rel=1e-13)
+        # every direction is mirrored from the quarter, so phi is exactly even
+        assert np.array_equal(s.phi.data, s.phi.data[::-1])
+        assert np.array_equal(s.phi.data, s.phi.data[:, ::-1])
 
     def test_line_search_allows_rounding_of_large_terms(self):
         """With M and N large and close, J (here -152) is a small difference
@@ -276,11 +348,7 @@ class TestNewtonLU:
         assert calls == [{"permc_spec": "MMD_AT_PLUS_A", "panel_size": 4,
                           "relax": 6}] * s.iterations
 
-    @pytest.mark.parametrize(
-        "nx, ny, lx, ly, M, N",
-        [(n, n, 4.0, 4.0, M, N) for n in (32, 64, 128) for M, N in NEWTON_MASSES]
-        + [(nx, ny, 4.0, 4.0, M, N) for nx, ny, M, N in ROUNDING_FLOORS]
-        + [LINE_SEARCH_CASE])
+    @pytest.mark.parametrize("nx, ny, lx, ly, M, N", NEWTON_CASES)
     def test_same_solve_as_scipy_defaults(self, monkeypatch, nx, ny, lx, ly, M, N):
         """Same iteration count; phi within 1e-13 relative, v and w within
         1e-12. On 8192x3 the condition number of B is about 1.4e7, and any
@@ -297,6 +365,45 @@ class TestNewtonLU:
         for got, want, rtol in ((s.phi, ref.phi, phi_rtol), (s.v, ref.v, 1e-12),
                                 (s.w, ref.w, 1e-12)):
             gap = np.abs(got.data - want.data).max() / np.abs(want.data).max()
+            assert gap <= rtol, f"relative gap {gap:.3e}"
+
+
+class TestQuarterGrid:
+    """J is strictly convex and unchanged by both mirrors, so its minimizer
+    is even about both mid-lines, and solve_pb factors each Newton matrix
+    on the lower-left quarter only. No test sees time or memory; the size
+    test is what keeps the factorization at a quarter."""
+
+    @pytest.mark.parametrize("nx, ny", [(6, 5), (7, 7), (8192, 3)])
+    def test_factors_a_quarter_size_matrix(self, monkeypatch, nx, ny):
+        shapes = []
+
+        def recording(B, *args, **kwargs):
+            shapes.append(B.shape)
+            return splu(B, *args, **kwargs)
+
+        monkeypatch.setattr(stationary, "splu", recording)
+        s = solve_pb(5.0, 10.0, Grid2D(nx, ny, 4.0, 4.0))
+        assert s.iterations >= 1
+        q = ((nx + 1) // 2) * ((ny + 1) // 2)
+        assert shapes == [(q, q)] * s.iterations
+
+    @pytest.mark.parametrize("nx, ny, lx, ly, M, N", NEWTON_CASES)
+    def test_same_solve_as_full_grid(self, nx, ny, lx, ly, M, N):
+        """Same iteration count; phi within 1e-13 relative, v and w within
+        1e-12. On 8192x3 the condition number of B is about 1.4e7 and the
+        quarter's LU rounds differently, so phi moves by 8.6e-12 relative
+        and v and w, whose relative change is phi's absolute one, by
+        1.7e-12; all three are held to 1e-11 there. (One more Newton step
+        moves phi there by 9.5e-9, well inside the rounding stop.)"""
+        g = Grid2D(nx, ny, lx, ly)
+        s = solve_pb(M, N, g)
+        phi, v, w, iterations = full_grid_solve(M, N, g, np.zeros((ny, nx)))
+        assert s.iterations == iterations
+        thin = (nx, ny) == (8192, 3)
+        phi_rtol, vw_rtol = (1e-11, 1e-11) if thin else (1e-13, 1e-12)
+        for got, want, rtol in ((s.phi, phi, phi_rtol), (s.v, v, vw_rtol), (s.w, w, vw_rtol)):
+            gap = np.abs(got.data - want).max() / np.abs(want).max()
             assert gap <= rtol, f"relative gap {gap:.3e}"
 
 
@@ -344,9 +451,9 @@ class TestConvexFunctional:
         g = Grid2D(32, 32)
         base = solve_pb(0.05, 0.1, g)
         rng = np.random.default_rng(8)
-        start = ScalarField(g, 0.5 * rng.standard_normal((32, 32)))
-        other = solve_pb(0.05, 0.1, g, phi0=start)
-        gap = np.abs(base.phi.data - other.phi.data).max()
+        start = 0.5 * rng.standard_normal((32, 32))
+        other = full_grid_solve(0.05, 0.1, g, start)[0]
+        gap = np.abs(base.phi.data - other).max()
         assert gap <= 1e-9, f"two minimizers {gap:.3e} apart"
 
 
