@@ -29,6 +29,7 @@ Quadrature is the midpoint rule everywhere: integrate(f) = hx*hy*sum(f),
 exact for cellwise-linear integrands and second-order otherwise.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -275,9 +276,158 @@ def cell_inner(f, q):
 # snapshot files
 # ---------------------------------------------------------------------------
 
+# save_matrix formats this many elements at a time (whole rows, at least one),
+# which keeps its temporaries to a few megabytes whatever the number of rows.
+_BLOCK = 16384
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for 53-bit doubles
+
+
+def _split(a):
+    """Veltkamp split a = hi + lo, each part of at most 26 significant bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _pow10(s):
+    """10**s as (hi, hh, hl, lo): hi the nearest double, split into hh + hl,
+    and lo the nearest double to 10**s - hi, all from exact integers."""
+    num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+    hi = num / den  # true division of ints rounds correctly
+    n, d = hi.as_integer_ratio()
+    lo = (num * d - n * den) / (den * d)
+    m, e = math.frexp(hi)  # split the mantissa, so 2**27 * m cannot overflow
+    mh, ml = _split(m)
+    return hi, math.ldexp(mh, e), math.ldexp(ml, e), lo
+
+
+def _scaled(a, k, tab):
+    """Integer part and fraction of a * 10**s, where tab[:, k] = _pow10(s).
+
+    Dekker's product gives p + err = a * hi exactly; adding a * lo leaves an
+    error below 1e-13 for results under 1e18.
+    """
+    hi, hh, hl, lo = tab[:, k]
+    p = a * hi
+    ah, al = _split(a)
+    err = ((ah * hh - p) + ah * hl + al * hh) + al * hl
+    ip = np.floor(p)
+    r = (p - ip) + (err + a * lo)
+    fl = np.floor(r)
+    return ip.astype(np.int64) + fl.astype(np.int64), r - fl
+
+
+def _format_block(x, seps):
+    """'%.17g' % v for each v of the 1-D array x, each followed by its
+    separator byte, concatenated."""
+    n = x.size
+    a = np.abs(x)
+    zero = a == 0.0
+    exact = (a >= 1e-290) & (a <= 1e290)
+    fallback = ~(exact | zero)
+    a = np.where(exact, a, 1.0)
+
+    # E, the decimal exponent: from log10, then moved by one where the scaled
+    # value a * 10**(16 - E) does not have exactly 17 integer digits.
+    E = np.floor(np.log10(a)).astype(np.int64)
+    # tab[:, s - s0] = 10**s for every s = 16 - E, E moved by one included
+    s0 = 15 - int(E.max())
+    tab = np.array([_pow10(s) for s in range(s0, 18 - int(E.min()))]).T
+    N, frac = _scaled(a, 16 - s0 - E, tab)
+    down = N < 10 ** 16
+    up = N >= 10 ** 17
+    moved = down | up
+    if moved.any():
+        E[down] -= 1
+        E[up] += 1
+        N[moved], frac[moved] = _scaled(a[moved], 16 - s0 - E[moved], tab)
+
+    # D, the 17 significant digits, rounded to nearest; a rounding up to
+    # 10**17 carries into the exponent, as in printf.
+    D = N + (frac > 0.5)
+    fallback |= exact & ((np.abs(frac - 0.5) < 1e-9) | (D < 10 ** 16) | (D > 10 ** 17))
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    E[carry] += 1
+    D[zero] = 0
+    E[zero] = 0
+    cols = np.arange(18, dtype=np.uint8)[:, None]
+    digits = np.zeros((18, n), np.uint8)
+    for k in range(16, -1, -1):
+        q = D // 10
+        digits[k] = D - 10 * q
+        D = q
+    # digits up to the last nonzero one; %g drops the zeros after it
+    sig = ((digits != 0) * (cols + 1)).max(axis=0)
+    digits[:17] += ord("0")
+
+    # The %g layout. Each element gets 30 template bytes, NUL where a byte is
+    # absent: sign, "0." and up to three zeros before small numbers, the
+    # 17 digits with the point among them (18 bytes), "e+XXX" and the
+    # separator. Dropping the NULs leaves the text.
+    fixed = (E >= -4) & (E < 17)
+    small = fixed & (E < 0)
+    expo = ~fixed
+    lead = np.where(fixed, E + 1, 1).clip(0, 17).astype(np.uint8)  # digits before the point
+    at = np.where(small, 17, lead).astype(np.uint8)  # where the point goes, 17 for none
+    point = sig > at
+    shown = np.maximum(sig, lead) + point
+    T = np.zeros((30, n), np.uint8)
+    T[0] = np.signbit(x) * np.uint8(ord("-"))
+    T[1] = small * np.uint8(ord("0"))
+    T[2] = small * np.uint8(ord("."))
+    for z in (1, 2, 3):
+        T[2 + z] = (small & (E < -z)) * np.uint8(ord("0"))
+    body = T[6:24]
+    np.multiply(digits, cols < at, out=body)
+    body[1:] += digits[:-1] * (cols[1:] > at)
+    body += (cols == at) * np.uint8(ord("."))
+    body *= cols < shown
+    ae = np.abs(E)
+    T[24] = expo * np.uint8(ord("e"))
+    T[25] = expo * np.where(E < 0, ord("-"), ord("+")).astype(np.uint8)
+    T[26] = (expo & (ae >= 100)) * (ord("0") + ae // 100).astype(np.uint8)
+    T[27] = expo * (ord("0") + ae // 10 % 10).astype(np.uint8)
+    T[28] = expo * (ord("0") + ae % 10).astype(np.uint8)
+    T[29] = seps
+    out = np.ascontiguousarray(T.T)
+    for i in np.flatnonzero(fallback):
+        text = ("%.17g" % x[i]).encode()
+        out[i, :29] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    out = out.ravel()
+    return out[out != 0].tobytes()
+
+
 def save_matrix(path, data):
-    """Write a 2-D array as plain text, one grid row per line, 17 significant digits."""
-    np.savetxt(path, np.atleast_2d(data), fmt="%.17g", delimiter=" ")
+    """Write a 2-D array as plain text, one grid row per line, 17 significant digits.
+
+    The file is byte-identical to np.savetxt(path, np.atleast_2d(data),
+    fmt="%.17g", delimiter=" "), and so reloads to the same doubles, but
+    each block of rows is formatted by whole-array numpy operations.
+
+    Each |x| is scaled to a * 10**(16 - E) in [1e16, 1e17) by a
+    double-double product (Dekker 1971) with 10**(16 - E) held as a pair of
+    doubles built from exact integers, which leaves an error below 1e-13;
+    rounding that to the nearest integer gives the 17 digits of %.17g. An
+    element falls back to Python's '%.17g' % x when that rounding cannot be
+    certified, when the fraction lies within 1e-9 of 1/2 (including exact
+    ties, which printf rounds to even), and where the scaling would leave
+    the normal range: |x| outside [1e-290, 1e290], inf and nan. Zeros are
+    laid out directly.
+    """
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    nrow, ncol = data.shape
+    with open(path, "wb") as fh:
+        if ncol == 0:  # np.savetxt's empty lines
+            fh.write(b"\n" * nrow)
+            return
+        rows = max(1, _BLOCK // ncol)
+        seps = np.full((rows, ncol), ord(" "), np.uint8)
+        seps[:, -1] = ord("\n")
+        for r in range(0, nrow, rows):
+            block = data[r:r + rows]
+            fh.write(_format_block(block.ravel(), seps[:len(block)].ravel()))
 
 
 def load_matrix(path):

@@ -8,6 +8,8 @@ between gradient and divergence, and the telescoping of divergence sums
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ehd2d import (
     Grid2D,
@@ -202,6 +204,38 @@ class TestDiscreteCalculus:
         assert kinetic_energy(u) == pytest.approx(expect, rel=1e-14)
 
 
+def savetxt_17g(path, data):
+    """The reference format of save_matrix."""
+    np.savetxt(path, np.atleast_2d(data), fmt="%.17g", delimiter=" ")
+
+
+def _written(tmp_path, save, data):
+    path = tmp_path / "matrix.txt"
+    save(path, data)
+    return path.read_bytes()
+
+
+def _with_neighbours(values):
+    """Each value with the doubles just below and just above it, as one row."""
+    v = np.array(values)
+    return np.concatenate([np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)])
+
+
+@st.composite
+def matrices(draw):
+    """Arbitrary float64 bit patterns: a 1-D row, 1x1, 64x65 or 65x64."""
+    shape = draw(st.sampled_from([None, (1, 1), (64, 65), (65, 64)]))
+    if shape is None:
+        shape = (draw(st.integers(1, 50)),)
+    bits = draw(hnp.arrays(np.uint64, shape, elements=st.integers(0, 2 ** 64 - 1)))
+    return bits.view(np.float64)
+
+
+# Each example rewrites the same file under tmp_path.
+MATRIX_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None,
+                           suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestMatrixIO:
     def test_save_load_roundtrip_exact(self, tmp_path):
         """%.17g output reproduces doubles bit-for-bit on reload."""
@@ -211,3 +245,31 @@ class TestMatrixIO:
         back = load_matrix(path)
         assert back.shape == f.data.shape
         assert np.array_equal(back, f.data), "roundtrip is not byte-faithful"
+
+    @MATRIX_SETTINGS
+    @given(data=matrices())
+    @example(data=np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                            1.7976931348623157e308, -1.7976931348623157e308,
+                            np.inf, -np.inf, np.nan]))
+    @example(data=_with_neighbours([1e-5, 1e-4, -1e-5, -1e-4, 1e16, 1e17, -1e16, -1e17]))
+    @example(data=_with_neighbours([10.0 ** k for k in range(-300, 301)]))
+    @example(data=np.array([2.0 ** k for k in range(-60, 61)]
+                           + [float(2 ** k + 1) for k in range(54, 70)]))
+    @example(data=np.array([round(v, d) for v in (2.0 / 3.0, -98765.4321987654321)
+                            for d in range(1, 18)]))
+    @example(data=np.array([131073 / 2.0 ** 18, 0.125, 2.5, 1.0 / 3.0, 9.9999999999999996e-281]))
+    def test_bytes_match_savetxt(self, tmp_path, data):
+        """save_matrix writes exactly the bytes of np.savetxt with %.17g."""
+        assert _written(tmp_path, save_matrix, data) == _written(tmp_path, savetxt_17g, data)
+
+    def test_random_bit_patterns_match_savetxt(self, tmp_path):
+        """A bulk check over every exponent: 2e5 random bit patterns, random
+        doubles from 1e-30 to 1e30, and dyadic values, whose short decimal
+        expansions include exact ties of the 17th digit. The 2-D shapes span
+        several of save_matrix's row blocks."""
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64)
+        wide = rng.standard_normal(100_000) * 10.0 ** rng.integers(-30, 31, 100_000)
+        dyadic = rng.integers(1, 2 ** 20, 100_000) / 2.0 ** rng.integers(0, 40, 100_000)
+        for data in (bits.reshape(500, 400), wide, dyadic.reshape(1000, 100)):
+            assert _written(tmp_path, save_matrix, data) == _written(tmp_path, savetxt_17g, data)

@@ -15,6 +15,7 @@ from ehd2d import (
     div_from_faces,
     embed_stationary,
     integrate,
+    load_matrix,
     lp_norm,
     save_matrix,
     solve_pb,
@@ -303,6 +304,17 @@ def _record_calls(monkeypatch, module, name):
     return calls
 
 
+def _assert_matrices_like_savetxt(out, calls):
+    """Every matrix file under out was written by one of the recorded
+    save_matrix calls, and holds what np.savetxt writes for its contents."""
+    files = sorted(p for p in out.rglob("*.txt") if p.name != "metadata.txt")
+    assert sorted(os.fspath(args[0]) for args in calls) == [os.fspath(p) for p in files]
+    for path in files:
+        ref = path.with_suffix(".ref")
+        np.savetxt(ref, load_matrix(path), fmt="%.17g", delimiter=" ")
+        assert path.read_bytes() == ref.read_bytes(), path
+
+
 class TestHookContract:
     """The module-level names a profiler or benchmark wraps stay on the
     call path: run() advances through sim.step, solve_pb factors through
@@ -351,6 +363,28 @@ class TestHookContract:
         run(cfg, write_outputs=False)
         assert len({args[1] for args in calls}) > 1, "test needs more than one distinct dt"
         assert lu == []
+
+    def test_run_writes_every_matrix_through_save_matrix(self, tmp_path, monkeypatch):
+        """Snapshots go through sim.save_matrix and stationary/ through
+        stationary.save_matrix, once per file, and each file holds the
+        bytes np.savetxt writes for the matrix it reloads to."""
+        from ehd2d import sim, stationary
+        snaps = _record_calls(monkeypatch, sim, "save_matrix")
+        stat = _record_calls(monkeypatch, stationary, "save_matrix")
+        out = tmp_path / "out"
+        run(small("vortex-charge", "output.snapshot_every=2", f"output.dir={out}"))
+        assert len(snaps) == 6 * 4 and len(stat) == 3
+        _assert_matrices_like_savetxt(out, snaps + stat)
+
+    def test_stationary_command_writes_through_save_matrix(self, tmp_path, monkeypatch):
+        from ehd2d import cli, sim, stationary
+        snaps = _record_calls(monkeypatch, sim, "save_matrix")
+        stat = _record_calls(monkeypatch, stationary, "save_matrix")
+        out = tmp_path / "stat"
+        assert cli.main(["stationary", "--quiet", "--preset", "relax-small-mass",
+                         "--set", "grid.nx=32", "--set", "grid.ny=32", "--out", str(out)]) == 0
+        assert snaps == [] and len(stat) == 3
+        _assert_matrices_like_savetxt(out, stat)
 
     def test_benchmark_entry_points_resolve(self):
         """Every name the benchmark's traced pass wraps exists and is
