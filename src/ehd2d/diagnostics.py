@@ -24,6 +24,7 @@ identities like the W_rel decomposition hold to solver tolerance instead of
 only to O(h^2).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ import numpy as np
 from .errors import EmptyWindow, NonConvergence, NonpositiveValues
 from .grid import (
     ScalarField,
+    _dirichlet_h1,
     grad_norm_sq,
     h1_seminorm,
     integrate,
@@ -40,6 +42,9 @@ from .fluid import ladyzhenskaya_ratio
 from .poisson import _stencil, solve_neumann
 
 DENSITY_FLOOR = 1e-300
+
+_NEGATIVE_S = "psi argument s must be nonnegative"
+_NONPOSITIVE_R = "psi reference weight r must be positive"
 
 
 def psi(s, r):
@@ -54,9 +59,9 @@ def psi(s, r):
     s_arr = np.asarray(s, dtype=float)
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0):
-        raise NonpositiveValues("psi reference weight r must be positive")
+        raise NonpositiveValues(_NONPOSITIVE_R)
     if np.any(s_arr < 0.0):
-        raise NonpositiveValues("psi argument s must be nonnegative")
+        raise NonpositiveValues(_NEGATIVE_S)
     d = (s_arr - r_arr) / r_arr
     with np.errstate(invalid="ignore", divide="ignore"):
         val = r_arr * ((1.0 + d) * np.log1p(d) - d)
@@ -72,6 +77,21 @@ def psi(s, r):
 
 def _entropy_integral(field, weight):
     return field.grid.vol * float(np.sum(psi(field.data, weight)))
+
+
+def _psi_sum(s, r):
+    """float(np.sum(psi(s, r))) for arrays s >= 0 and weights r > 0.
+
+    The caller checks the signs. psi's general expression is evaluated
+    directly; it is NaN exactly where 1 + d rounds to 0 (s = 0, or s far
+    below r), and only then does psi itself, with its special branches, run.
+    """
+    d = (s - r) / r
+    with np.errstate(invalid="ignore", divide="ignore"):
+        total = float(np.sum(r * ((1.0 + d) * np.log1p(d) - d)))
+    if math.isnan(total):
+        return float(np.sum(psi(s, r)))
+    return total
 
 
 @dataclass
@@ -99,8 +119,13 @@ def _species_production(c, phi_data, sign, grid):
     """Face quadrature of c |grad(log c + sign*phi)|^2, harmonic face density."""
     data = c.data
     ph = phi_data
-    with np.errstate(divide="ignore"):
-        mu = np.where(data > DENSITY_FLOOR, np.log(np.maximum(data, DENSITY_FLOOR)), 0.0)
+    # above the floor everywhere, the masks below would keep every face
+    full = data.min() > DENSITY_FLOOR
+    if full:
+        mu = np.log(data)
+    else:
+        with np.errstate(divide="ignore"):
+            mu = np.where(data > DENSITY_FLOOR, np.log(np.maximum(data, DENSITY_FLOOR)), 0.0)
     mu = mu + sign * ph
     total = 0.0
     for axis, h in ((1, grid.hx), (0, grid.hy)):
@@ -110,6 +135,9 @@ def _species_production(c, phi_data, sign, grid):
         else:
             cL, cR = data[:-1, :], data[1:, :]
             dmu = (mu[1:, :] - mu[:-1, :]) / h
+        if full:
+            total += float(np.sum(2.0 * cL * cR / (cL + cR) * dmu * dmu))
+            continue
         mask = (cL > DENSITY_FLOOR) & (cR > DENSITY_FLOOR)
         with np.errstate(divide="ignore", invalid="ignore"):
             cf = np.where(mask, 2.0 * cL * cR / (cL + cR), 0.0)
@@ -290,31 +318,45 @@ def energy_report(state, s):
     """Evaluate every recorded functional of the state against equilibrium s.
 
     Each term the fields share is computed once: K, H, dv and dw, their L1
-    sums and their sums of d^2/c_inf.
+    sums and their sums of d^2/c_inf, and |grad u|^2, which both the
+    production and lady_ratio take. The signs of v, w, v_inf and w_inf are
+    checked once, with psi's messages, and each entropy is psi's expression
+    summed without psi's checks and special branches unless a cell needs
+    them. Every field is the same double its standalone definition gives.
     """
-    vol = state.v.grid.vol
-    parts = total_energy(state)
-    kin = parts.kinetic
-    h1 = h1_seminorm(ScalarField(state.phi.grid, state.phi.data - s.phi.data))
-    dv = state.v.data - s.v.data
-    dw = state.w.data - s.w.data
+    g = state.v.grid
+    vol = g.vol
+    v, w, v_inf, w_inf = state.v.data, state.w.data, s.v.data, s.w.data
+    if v.min() < 0.0 or w.min() < 0.0:
+        raise NonpositiveValues(_NEGATIVE_S)
+    if v_inf.min() <= 0.0 or w_inf.min() <= 0.0:
+        raise NonpositiveValues(_NONPOSITIVE_R)
+    entropy_v = vol * _psi_sum(v, 1.0)
+    entropy_w = vol * _psi_sum(w, 1.0)
+    electric = 0.5 * _dirichlet_h1(state.phi.data, g)
+    kin = kinetic_energy(state.u)
+    h1 = _dirichlet_h1(state.phi.data - s.phi.data, g)
+    dv = v - v_inf
+    dw = w - w_inf
     l1v = float(np.abs(dv).sum())
     l1w = float(np.abs(dw).sum())
-    qv = float(np.sum(dv * dv / s.v.data))
-    qw = float(np.sum(dw * dw / s.w.data))
-    lady = 0.0 if state.u.is_zero() else ladyzhenskaya_ratio(state.u)
+    qv = float(np.sum(dv * dv / v_inf))
+    qw = float(np.sum(dw * dw / w_inf))
+    grad_u = grad_norm_sq(state.u)
+    production = (_species_production(state.v, state.phi.data, -1.0, g)
+                  + _species_production(state.w, state.phi.data, +1.0, g) + grad_u)
+    lady = 0.0 if state.u.is_zero() else ladyzhenskaya_ratio(state.u, grad_u)
     return EnergyReport(
         t=float(state.t),
         mass_v=integrate(state.v),
         mass_w=integrate(state.w),
-        kinetic=parts.kinetic,
-        electric=parts.electric,
-        entropy_v=parts.entropy_v,
-        entropy_w=parts.entropy_w,
-        W=parts.W,
-        production=entropy_production(state),
-        W_rel=(_entropy_integral(state.v, s.v.data)
-               + _entropy_integral(state.w, s.w.data) + 0.5 * h1 + kin),
+        kinetic=kin,
+        electric=electric,
+        entropy_v=entropy_v,
+        entropy_w=entropy_w,
+        W=entropy_v + entropy_w + electric + kin,
+        production=production,
+        W_rel=vol * _psi_sum(v, v_inf) + vol * _psi_sum(w, w_inf) + 0.5 * h1 + kin,
         L=kin + vol * (0.5 * qv) + vol * (0.5 * qw) + 0.5 * h1,
         E1=2.0 * kin + vol * (l1v + l1w) + h1,
         E2=2.0 * kin + vol * (qv + qw) + h1,

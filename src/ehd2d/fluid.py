@@ -144,13 +144,14 @@ def _projection_rounding(div2, q, u2):
                        + (2.0 / g.hx + 2.0 / g.hy) * u2.max_speed())
 
 
-def ladyzhenskaya_ratio(u):
+def ladyzhenskaya_ratio(u, grad_sq=None):
     """||u||_L4 / (||u||_L2^(1/2) ||grad u||_L2^(1/2)) for a no-slip field.
 
     The L2 and L4 norms are taken on the cell-centered speed interpolant so
     numerator and denominator sample the field the same way; the gradient
     norm is the wall-aware face-difference form (grad_norm_sq). Invariant
-    under u -> alpha*u by construction.
+    under u -> alpha*u by construction. A caller that already has
+    grad_norm_sq(u) passes it as grad_sq.
     """
     if u.is_zero():
         raise ZeroField("Ladyzhenskaya ratio of a zero velocity field")
@@ -160,5 +161,5 @@ def ladyzhenskaya_ratio(u):
     speed2 = uxc * uxc + uyc * uyc
     l2 = np.sqrt(g.vol * float(speed2.sum()))
     l4 = (g.vol * float((speed2 * speed2).sum())) ** 0.25
-    gn = grad_norm_sq(u) ** 0.25
+    gn = (grad_norm_sq(u) if grad_sq is None else grad_sq) ** 0.25
     return float(l4 / (np.sqrt(l2) * gn))

@@ -33,6 +33,8 @@ tests; the stationary module folds _lap1d onto a quarter of the grid for its
 Newton matrix.
 """
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 from scipy import fft
@@ -65,18 +67,23 @@ def _lap1d(n, h, boundary):
     return sp.diags([off, main, off], [-1, 0, 1], format="csr") / (h * h)
 
 
+@functools.lru_cache(maxsize=32)
 def _lap1d_eigenvalues(n, h, boundary):
-    """Eigenvalues -(4/h^2) sin^2(theta_k) of _lap1d.
+    """Eigenvalues -(4/h^2) sin^2(theta_k) of _lap1d, as a read-only array.
 
     They are listed in the mode order of the transform _TRANSFORM[boundary]:
 
     boundary "dirichlet": DST-II, theta_k = k pi / (2n),      k = 1..n.
     boundary "value":     DST-I,  theta_k = k pi / (2(n+1)),  k = 1..n.
     boundary "neumann":   DCT-II, theta_k = k pi / (2n),      k = 0..n-1.
+
+    A step asks for the same few spectra again and again, so they are kept.
     """
     k = np.arange(n) + (boundary != "neumann")
     m = n + 1 if boundary == "value" else n
-    return -4.0 / (h * h) * np.sin(k * (np.pi / (2 * m))) ** 2
+    lam = -4.0 / (h * h) * np.sin(k * (np.pi / (2 * m))) ** 2
+    lam.flags.writeable = False
+    return lam
 
 
 def transform_solve(b, closures, spacings, shift=0.0):
@@ -110,7 +117,9 @@ def transform_solve(b, closures, spacings, shift=0.0):
 def _stencil(x, grid, boundary):
     """Five-point Lap_h x on a cell array, with ghost = sign * interior."""
     s = _GHOST_SIGN[boundary]
-    xp = np.pad(x, 1)
+    # the corners of the ghost frame are never read
+    xp = np.empty((x.shape[0] + 2, x.shape[1] + 2))
+    xp[1:-1, 1:-1] = x
     xp[0, 1:-1], xp[-1, 1:-1] = s * x[0], s * x[-1]
     xp[1:-1, 0], xp[1:-1, -1] = s * x[:, 0], s * x[:, -1]
     c = 2.0 * x

@@ -62,9 +62,12 @@ class SystemState:
     step() relies on that: it uses phi as given. Every state this module
     builds carries it; a hand-built state must too (solve_dirichlet of
     v - w, or phi = 0 with v = w).
+
+    A state is not modified after it is built: its speed() is computed once
+    and kept, and a step returns a new state.
     """
 
-    __slots__ = ("u", "p", "v", "w", "phi", "t")
+    __slots__ = ("u", "p", "v", "w", "phi", "t", "_speed")
 
     def __init__(self, u, p, v, w, phi, t=0.0):
         self.u = u
@@ -73,10 +76,17 @@ class SystemState:
         self.w = w
         self.phi = phi
         self.t = float(t)
+        self._speed = None
 
     @property
     def grid(self):
         return self.v.grid
+
+    def speed(self):
+        """max(|u|, |grad phi|) over the faces, the speed the CFL limit divides by."""
+        if self._speed is None:
+            self._speed = max(self.u.max_speed(), grad_to_faces(self.phi).max_speed())
+        return self._speed
 
     def copy(self):
         return SystemState(self.u.copy(), self.p.copy(), self.v.copy(), self.w.copy(),
@@ -363,7 +373,7 @@ def setup(config):
 def cfl_limit(state, cfl_safety=1.0):
     """Largest admissible dt: cfl_safety * min(h) / max(|u|, |grad phi|)."""
     g = state.grid
-    speed = max(state.u.max_speed(), grad_to_faces(state.phi).max_speed())
+    speed = state.speed()
     if speed == 0.0:
         return np.inf
     return cfl_safety * min(g.hx, g.hy) / speed

@@ -13,8 +13,13 @@ which vanish identically on the discrete Boltzmann profile (c proportional
 to e^{phi} for s = -1, e^{-phi} for s = +1), so the scheme's steady states
 are the exact discrete Maxwellians rather than second-order approximations
 of them. Both species share one B(dpsi), B(-dpsi) pair per face: the cation
-weights cL by B(-dpsi) and cR by B(dpsi), the anion the reverse. Advection
-uses first-order upwinding.
+weights cL by B(-dpsi) and cR by B(dpsi), the anion the reverse. The pair
+comes from one expm1 and one exp over t = |dpsi| (bernoulli_pair): with
+d = 1 - e^{-t}, B(-t) = t/d and B(t) = t e^{-t}/d. The identity
+B(t) = e^{-t} B(-t) would also give B(t) as B(-t) (1 + expm1(-t)), but for
+large t that factor is a difference of nearly equal numbers and keeps
+almost no correct digits, so e^{-t} is taken by itself. Advection uses
+first-order upwinding.
 
 The step is split backward Euler (Lie/Yanenko fractional steps): with the
 potential and velocity frozen at the step's start, the flux divergence is
@@ -40,7 +45,7 @@ so a step makes no sparse factorization.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 # benchmark/spans.py wraps transport.splu to count transport LUs; the step makes none.
 from scipy.sparse.linalg import splu  # noqa: F401
 
@@ -51,23 +56,35 @@ CATION_SIGN = -1
 ANION_SIGN = +1
 
 
-def bernoulli(x):
-    """B(x) = x/(e^x - 1) with the removable singularity filled in.
+def bernoulli_pair(x):
+    """(B(x), B(-x)) from one pass over t = |x|, B(x) = x/(e^x - 1).
 
-    Evaluated as x e^{-x}/(1 - e^{-x}) for x > 0 and x/(e^x - 1) for x < 0 so
-    it never overflows; |x| < 1e-10 uses the Taylor polynomial 1 - x/2 + x^2/12.
+    With d = -expm1(-t) = 1 - e^{-t}, B(-t) = t/d and B(t) = t e^{-t}/d;
+    neither overflows, and t < 1e-10 takes the Taylor polynomials
+    1 -+ t/2 + t^2/12. These are the operations of x e^{-x}/(1 - e^{-x}) for
+    x > 0 and x/(e^x - 1) for x < 0, so each weight is the same double
+    whichever sign it is asked for.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-10
-    pos = (x > 0.0) & ~small
-    neg = (x < 0.0) & ~small
-    xs = x[small]
-    out[small] = 1.0 - 0.5 * xs + xs * xs / 12.0
-    xp = x[pos]
-    out[pos] = xp * np.exp(-xp) / (-np.expm1(-xp))
-    xn = x[neg]
-    out[neg] = xn / np.expm1(xn)
+    shape = np.shape(x)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    t = np.abs(x)
+    d = -np.expm1(-t)
+    with np.errstate(invalid="ignore"):  # t = 0 gives 0/0, replaced below
+        b_minus = t / d
+        b_plus = t * np.exp(-t) / d
+    small = t < 1e-10
+    if small.any():
+        ts = t[small]
+        b_plus[small] = 1.0 - 0.5 * ts + ts * ts / 12.0
+        b_minus[small] = 1.0 + 0.5 * ts + ts * ts / 12.0
+    neg = x < 0.0
+    return (np.where(neg, b_minus, b_plus).reshape(shape),
+            np.where(neg, b_plus, b_minus).reshape(shape))
+
+
+def bernoulli(x):
+    """B(x) = x/(e^x - 1) with the removable singularity filled in (bernoulli_pair)."""
+    out = bernoulli_pair(x)[0]
     if out.ndim == 0:
         return float(out)
     return out
@@ -88,8 +105,8 @@ def _sweep_bands(phi, u, direction):
         ph, uf, h = phi.data, u.ux[:, 1:-1], g.hx
     else:
         ph, uf, h = phi.data.T, u.uy[1:-1, :].T, g.hy
-    dpsi = np.diff(ph, axis=1)
-    b_plus, b_minus = bernoulli(dpsi) / h, bernoulli(-dpsi) / h
+    b_plus, b_minus = bernoulli_pair(np.diff(ph, axis=1))
+    b_plus, b_minus = b_plus / h, b_minus / h
     up_l, up_r = np.maximum(uf, 0.0), np.maximum(-uf, 0.0)
     bands = {}
     # a multiplies cL, b multiplies cR in the face flux F = a cL - b cR
@@ -138,12 +155,13 @@ def _sweep(c, upper, lower, dt):
     # diagonal are nonpositive)
     norm_m = float((ab[1] - ab[0] - ab[2]).max())
     b = c.ravel()
-    # non-finite input ends in the residual check below, a zero pivot here,
-    # both as a NonConvergence
-    try:
-        x = solve_banded((1, 1), ab, b, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(1, np.inf, "charge transport solve") from exc
+    # LAPACK's tridiagonal solve, called as scipy.linalg.solve_banded calls
+    # it for one band on each side, without that wrapper's per-call checks.
+    # Non-finite input ends in the residual check below, a zero pivot
+    # (info > 0) here, both as a NonConvergence.
+    _, _, _, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    if info != 0:
+        raise NonConvergence(1, np.inf, "charge transport solve")
     r = ab[1] * x - b
     r[:-1] += ab[0, 1:] * x[1:]
     r[1:] += ab[2, :-1] * x[:-1]

@@ -7,6 +7,8 @@ the discrete equilibrium, and Csiszar-Kullback bounds squared L1 distances
 by 4 W_rel.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -23,13 +25,15 @@ from ehd2d import (
     grad_norm_sq,
     h1_seminorm,
     integrate,
+    ladyzhenskaya_ratio,
     psi,
     solve_dirichlet,
     solve_pb,
     total_energy,
     weighted_poincare_estimate,
 )
-from ehd2d.diagnostics import CSV_COLUMNS, csv_header, csv_row
+from ehd2d import diagnostics, fluid
+from ehd2d.diagnostics import CSV_COLUMNS, _entropy_integral, csv_header, csv_row
 from ehd2d.errors import EmptyWindow, NonpositiveValues
 from ehd2d.sim import _stream_velocity
 
@@ -268,6 +272,123 @@ class TestCsiszarKullback:
         rep = energy_report(st, s)
         lhs, rhs = rep.ck_lhs, rep.W_rel
         assert lhs <= 4.0 * rhs
+
+
+def _report_case(name):
+    """(state, equilibrium) for one row of TestReportMatchesDefinitions."""
+    g = Grid2D(13, 9, 1.3, 0.7)
+    s = solve_pb(0.05, 0.1, g)
+    st = random_system_state(31, g, with_velocity=name != "at rest")
+    cells = {"zero cell": 0.0, "5e-324 cell": 5e-324, "1e-200 cell": 1e-200}
+    if name in cells:
+        v = st.v.data.copy()
+        v[4, 6] = cells[name]
+        phi = solve_dirichlet(ScalarField(g, v - st.w.data))
+        st = SystemState(st.u, st.p, ScalarField(g, v), st.w, phi)
+    return st, s
+
+
+REPORT_CASES = ["with velocity", "at rest", "zero cell", "5e-324 cell", "1e-200 cell"]
+
+
+def masked_species_production(data, phi_data, sign, grid):
+    """The production of one species with every face masked by the density
+    floor, as _species_production computes it when some cell is at or below
+    the floor."""
+    floor = diagnostics.DENSITY_FLOOR
+    with np.errstate(divide="ignore"):
+        mu = np.where(data > floor, np.log(np.maximum(data, floor)), 0.0)
+    mu = mu + sign * phi_data
+    total = 0.0
+    for cL, cR, dmu in ((data[:, :-1], data[:, 1:], (mu[:, 1:] - mu[:, :-1]) / grid.hx),
+                        (data[:-1, :], data[1:, :], (mu[1:, :] - mu[:-1, :]) / grid.hy)):
+        mask = (cL > floor) & (cR > floor)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cf = np.where(mask, 2.0 * cL * cR / (cL + cR), 0.0)
+        total += float(np.sum(np.where(mask, cf * dmu * dmu, 0.0)))
+    return grid.vol * total
+
+
+class TestReportMatchesDefinitions:
+    """energy_report shares work between its fields, and each field is still
+    the same double (==) as its standalone definition. A zero cell and a
+    5e-324 cell take psi's special branches and the production's density
+    floor; a 1e-200 cell takes psi's tiny branch against 1 while staying
+    above the floor."""
+
+    @pytest.mark.parametrize("name", REPORT_CASES)
+    def test_fields_equal_standalone_definitions(self, name):
+        st, s = _report_case(name)
+        g = st.grid
+        rep = energy_report(st, s)
+        parts = total_energy(st)
+        h1 = h1_seminorm(ScalarField(g, st.phi.data - s.phi.data))
+        dv, dw = st.v.data - s.v.data, st.w.data - s.w.data
+        l1v, l1w = float(np.abs(dv).sum()), float(np.abs(dw).sum())
+        qv, qw = float(np.sum(dv * dv / s.v.data)), float(np.sum(dw * dw / s.w.data))
+        kin = parts.kinetic
+        want = {
+            "t": st.t,
+            "mass_v": integrate(st.v),
+            "mass_w": integrate(st.w),
+            "kinetic": kin,
+            "electric": parts.electric,
+            "entropy_v": parts.entropy_v,
+            "entropy_w": parts.entropy_w,
+            "W": parts.W,
+            "production": entropy_production(st),
+            "W_rel": (_entropy_integral(st.v, s.v.data) + _entropy_integral(st.w, s.w.data)
+                      + 0.5 * h1 + kin),
+            "L": kin + g.vol * (0.5 * qv) + g.vol * (0.5 * qw) + 0.5 * h1,
+            "E1": 2.0 * kin + g.vol * (l1v + l1w) + h1,
+            "E2": 2.0 * kin + g.vol * (qv + qw) + h1,
+            "ck_lhs": float(np.float64(g.vol * l1v) ** 2 + np.float64(g.vol * l1w) ** 2
+                            + h1 + 2.0 * kin),
+            "lady_ratio": 0.0 if st.u.is_zero() else ladyzhenskaya_ratio(st.u),
+        }
+        assert set(want) == set(CSV_COLUMNS)
+        for field, value in want.items():
+            assert getattr(rep, field) == value, f"{name}: {field}"
+        assert np.isfinite([getattr(rep, c) for c in CSV_COLUMNS]).all(), name
+
+    def test_unmasked_passes_equal_psi_and_the_masked_production(self):
+        """The sums the report takes without psi's branches or the floor's
+        masks, against those branches and masks. A report adds larger terms
+        to them that can hide a last-bit change, and so can a sum over a
+        grid: one reordered product was caught by about one comparison in
+        five here, so sixteen random states join the five cases."""
+        g = Grid2D(13, 9, 1.3, 0.7)
+        s = solve_pb(0.05, 0.1, g)
+        states = [_report_case(name)[0] for name in REPORT_CASES]
+        states += [random_system_state(seed, g) for seed in range(16)]
+        for k, st in enumerate(states):
+            for c, c_inf, sign in ((st.v, s.v, -1.0), (st.w, s.w, +1.0)):
+                for r in (1.0, c_inf.data):
+                    assert diagnostics._psi_sum(c.data, r) == float(np.sum(psi(c.data, r))), k
+                got = diagnostics._species_production(c, st.phi.data, sign, g)
+                assert got == masked_species_production(c.data, st.phi.data, sign, g), k
+
+    @pytest.mark.parametrize("name", REPORT_CASES)
+    def test_one_velocity_gradient_per_report(self, name):
+        st, s = _report_case(name)
+        with mock.patch.object(diagnostics, "grad_norm_sq", wraps=diagnostics.grad_norm_sq) as d_spy, \
+                mock.patch.object(fluid, "grad_norm_sq", wraps=fluid.grad_norm_sq) as f_spy:
+            energy_report(st, s)
+        assert d_spy.call_count + f_spy.call_count == 1
+
+    @pytest.mark.parametrize("species", ["v", "w"])
+    def test_negative_density_raises(self, species):
+        st, s = _report_case("with velocity")
+        getattr(st, species).data[2, 3] = -1e-30
+        with pytest.raises(NonpositiveValues, match="psi argument s must be nonnegative"):
+            energy_report(st, s)
+
+    @pytest.mark.parametrize("species", ["v", "w"])
+    def test_nonpositive_reference_raises(self, species):
+        st, s = _report_case("with velocity")
+        getattr(s, species).data[2, 3] = 0.0
+        with pytest.raises(NonpositiveValues, match="psi reference weight r must be positive"):
+            energy_report(st, s)
 
 
 class TestFitDecay:

@@ -205,7 +205,7 @@ class TestTransformSolves:
         err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
         assert err <= 1e-12, f"relative error {err:.3e}"
 
-    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "value"])
     @pytest.mark.parametrize("nx, ny, lx, ly", GRIDS)
     def test_stencil_matches_matrix(self, nx, ny, lx, ly, boundary):
         g = Grid2D(nx, ny, lx, ly)
@@ -213,6 +213,14 @@ class TestTransformSolves:
         ref = laplacian_matrix(g, boundary) @ x.ravel()
         got = _stencil(x, g, boundary).ravel()
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_spectra_are_kept_read_only(self):
+        """A step asks for the same 1-D spectra many times; they are computed
+        once, and nobody may change the kept copy."""
+        lam = poisson._lap1d_eigenvalues(9, 0.3, "dirichlet")
+        assert poisson._lap1d_eigenvalues(9, 0.3, "dirichlet") is lam
+        with pytest.raises(ValueError):
+            lam[0] = 0.0
 
 
 def _bump(g):

@@ -257,6 +257,27 @@ class TestStep:
         with pytest.raises(CflViolation):
             step(st, 10.0 * limit)
 
+    def test_cfl_speed_taken_once_per_step(self, monkeypatch):
+        """trajectory sets dt by the CFL limit and step checks dt against it;
+        both read the speed the state keeps, so the phi gradient the limit
+        needs is taken once per step. A dt above the limit still raises."""
+        from ehd2d import sim
+        cfg = small("vortex-charge", "initial.amplitude=20", "time.dt=0.05")
+        _, st = setup(cfg)
+        calls = _record_calls(monkeypatch, sim, "grad_to_faces")
+        dts = []
+        for nstep, dt, st, _ in trajectory(st, cfg):
+            dts.append(dt)
+            if nstep == 10:
+                break
+        assert len(calls) == 10
+        assert max(dts) < cfg.dt, "test needs a binding limit"
+        limit = cfl_limit(st, cfg.cfl_safety)
+        speed = max(st.u.max_speed(), sim.grad_to_faces(st.phi).max_speed())
+        assert limit == cfg.cfl_safety * min(cfg.grid.hx, cfg.grid.hy) / speed
+        with pytest.raises(CflViolation):
+            step(st, 2.0 * limit, cfl_safety=cfg.cfl_safety)
+
     def test_uniform_neutral_state_is_fixed(self):
         cfg = small("symmetric-null")
         st = build_initial_state(cfg)

@@ -33,7 +33,7 @@ from ehd2d import (
     transport_generator,
 )
 from ehd2d import sim, transport
-from ehd2d.transport import ANION_SIGN, CATION_SIGN
+from ehd2d.transport import ANION_SIGN, CATION_SIGN, bernoulli_pair
 
 
 class TestBernoulli:
@@ -477,6 +477,24 @@ class TestStepProperties:
         assert total_energy(out).W <= W0 + 1e-12 * (1 + abs(W0))
 
 
+def reference_bernoulli(x):
+    """B(x) = x/(e^x - 1) by three masked branches, as the package once
+    evaluated it: x e^{-x}/(1 - e^{-x}) for x > 0, x/(e^x - 1) for x < 0,
+    and 1 - x/2 + x^2/12 for |x| < 1e-10."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = np.abs(x) < 1e-10
+    pos = (x > 0.0) & ~small
+    neg = (x < 0.0) & ~small
+    xs = x[small]
+    out[small] = 1.0 - 0.5 * xs + xs * xs / 12.0
+    xp = x[pos]
+    out[pos] = xp * np.exp(-xp) / (-np.expm1(-xp))
+    xn = x[neg]
+    out[neg] = xn / np.expm1(xn)
+    return out
+
+
 def reference_bands(phi, u, sign, direction):
     """One species' sweep bands by the sign-threaded formula, two Bernoulli
     evaluations per species and direction."""
@@ -486,8 +504,8 @@ def reference_bands(phi, u, sign, direction):
     else:
         ph, uf, h = phi.data.T, u.uy[1:-1, :].T, g.hy
     dpsi = np.diff(ph, axis=1)
-    a = bernoulli(sign * dpsi) / h + np.maximum(uf, 0.0)
-    b = bernoulli(-sign * dpsi) / h + np.maximum(-uf, 0.0)
+    a = reference_bernoulli(sign * dpsi) / h + np.maximum(uf, 0.0)
+    b = reference_bernoulli(-sign * dpsi) / h + np.maximum(-uf, 0.0)
     upper = np.zeros(ph.shape)
     lower = np.zeros(ph.shape)
     upper[:, 1:] = b / h
@@ -495,18 +513,57 @@ def reference_bands(phi, u, sign, direction):
     return upper, lower
 
 
+# Nonnegative doubles order as their bit patterns, so the integers up to the
+# pattern of 800.0 are every double in [0, 800].
+BITS_800 = int(np.float64(800.0).view(np.uint64))
+TINY = 1e-10
+
+
+@st.composite
+def doubles_up_to_800(draw):
+    x = float(np.uint64(draw(st.integers(0, BITS_800))).view(np.float64))
+    return -x if draw(st.booleans()) else x
+
+
+def pinned(*values):
+    """Stack hypothesis examples for each value and its negative."""
+    def wrap(test):
+        for v in values:
+            test = example(-v)(example(v)(test))
+        return test
+    return wrap
+
+
 class TestSharedBands:
     @PROPERTY_SETTINGS
     @given(transport_cases())
-    def test_step_matches_per_species_bands_with_four_bernoulli_calls(self, case):
+    def test_step_matches_per_species_bands_with_one_pair_per_direction(self, case):
         """Both species read their bands from one B(dpsi), B(-dpsi) pair per
-        face: the step is bit for bit the per-species formula, and makes one
-        pair of Bernoulli evaluations per direction."""
+        face: the step is bit for bit the per-species formula with the
+        three-branch B, and takes one bernoulli_pair per direction and no
+        single bernoulli."""
         g, v, w, phi, u, dt = case
-        with mock.patch.object(transport, "bernoulli", wraps=transport.bernoulli) as spy:
+        with mock.patch.object(transport, "bernoulli_pair", wraps=bernoulli_pair) as pair, \
+                mock.patch.object(transport, "bernoulli", wraps=transport.bernoulli) as single:
             got = step_charges(v, w, phi, u, dt)
-        assert spy.call_count == 4
+        assert pair.call_count == 2
+        assert single.call_count == 0
         for c, sign, out in ((v, CATION_SIGN, got[0]), (w, ANION_SIGN, got[1])):
             cx = transport._sweep(c.data, *reference_bands(phi, u, sign, "x"), dt)
             ref = transport._sweep(cx.T, *reference_bands(phi, u, sign, "y"), dt).T
             assert np.array_equal(out.data, ref), f"sign {sign}, dt={dt}"
+
+    @settings(derandomize=True, max_examples=2000, deadline=None, database=None)
+    @given(doubles_up_to_800())
+    @pinned(0.0, 5e-324, TINY, np.nextafter(TINY, 0.0), np.nextafter(TINY, 1.0),
+            30.0, 700.0, 745.0, 800.0)
+    def test_pair_is_the_three_branch_formula_bit_for_bit(self, x):
+        """bernoulli_pair(x) == (B(x), B(-x)) of reference_bernoulli, to the
+        bit, over every double with |x| <= 800: the Taylor branch, both sides
+        of its 1e-10 edge, subnormals, and the underflow of e^{-|x|}."""
+        arr = np.array([x])
+        got = bernoulli_pair(arr)
+        want = reference_bernoulli(arr), reference_bernoulli(-arr)
+        for b_got, b_want in zip(got, want):
+            assert b_got.tobytes() == b_want.tobytes(), f"x={x!r}: {b_got[0]!r} != {b_want[0]!r}"
+        assert np.float64(bernoulli(x)).tobytes() == want[0].tobytes()
