@@ -419,6 +419,12 @@ def save_matrix(path, data):
     ties, which printf rounds to even), and where the scaling would leave
     the normal range: |x| outside [1e-290, 1e290], inf and nan. Zeros are
     laid out directly.
+
+    When row j and row nrow - 1 - j hold the same bit patterns for every j,
+    as in the stationary fields, which are even about both mid-lines, only
+    the first ceil(nrow/2) rows are formatted; the remaining lines are
+    those rows' text again in reverse order. Rows are compared as bits, not
+    values: 0.0 == -0.0, but %.17g prints them as 0 and -0.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     nrow, ncol = data.shape
@@ -429,9 +435,18 @@ def save_matrix(path, data):
         rows = max(1, _BLOCK // ncol)
         seps = np.full((rows, ncol), ord(" "), np.uint8)
         seps[:, -1] = ord("\n")
-        for r in range(0, nrow, rows):
-            block = data[r:r + rows]
-            fh.write(_format_block(block.ravel(), seps[:len(block)].ravel()))
+        bits = data.view(np.uint64)
+        half = nrow // 2  # rows written again in reverse order
+        if not np.array_equal(bits[:half], bits[::-1][:half]):
+            half = 0
+        lines = []
+        for r in range(0, nrow - half, rows):
+            block = data[r:min(r + rows, nrow - half)]
+            text = _format_block(block.ravel(), seps[:len(block)].ravel())
+            fh.write(text)
+            if half:
+                lines += text.splitlines(keepends=True)
+        fh.writelines(reversed(lines[:half]))
 
 
 def load_matrix(path):

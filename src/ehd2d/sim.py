@@ -21,7 +21,9 @@ a SolverError from a step keeps its class and names the step number, its
 start time t and its dt. run() follows the trajectory to t_max, records an
 EnergyReport at t = 0 and every record_every-th step, and writes
 diagnostics.csv (byte-identical for identical configs), snapshot matrices
-and the stationary solution the decay diagnostics compare against.
+and the stationary solution the decay diagnostics compare against. A run
+that a SolverError ends still writes diagnostics.csv with the rows recorded
+before the failure, then re-raises.
 `ehd2d check` takes the first ten steps, whatever t_max is.
 
 load_config layers the configuration: DEFAULTS, then the chosen preset's
@@ -44,8 +46,11 @@ from .grid import (
     Grid2D,
     MacVectorField,
     ScalarField,
+    grad_norm_sq,
     grad_to_faces,
+    h1_seminorm,
     integrate,
+    kinetic_energy,
     load_matrix,
     save_matrix,
 )
@@ -363,7 +368,40 @@ def setup(config):
             stacklevel=3,
         )
     equilibrium = solve_pb(config.M, config.N, config.grid)
-    return equilibrium, build_initial_state(config, equilibrium)
+    state = build_initial_state(config, equilibrium)
+    _check_representable(config, state)
+    return equilibrium, state
+
+
+def _check_representable(config, state):
+    """ConfigError naming the key whose size makes a squared norm of the
+    initial state overflow.
+
+    The energy report squares every field it measures, so a config whose
+    initial densities, potential or velocity have no finite squared grid-L2
+    or H1 norm cannot be measured; such runs printed pages of overflow
+    warnings and most ended in a SolverError with residual inf or nan.
+    Measured on 8^2 grids: near-equilibrium (4 x 4, N = 0.1) is rejected
+    from M of about 2.5e154, where |v|^2 overflows (runs failed from about
+    2.2e155); vortex-charge is rejected from amplitude 4.8e151, where
+    |grad u|^2 overflows (|u|^2 follows at 4.9e152, and runs failed from
+    1.85e152).
+    """
+    g = state.grid
+    mass_v, mass_w = (("initial.v_file", "initial.w_file") if config.v_file
+                      else (f"initial.M = {config.M!r}", f"initial.N = {config.N!r}"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sizes = (
+            (mass_v, "density v", g.vol * float(np.vdot(state.v.data, state.v.data))),
+            (mass_w, "density w", g.vol * float(np.vdot(state.w.data, state.w.data))),
+            (f"{mass_v} with {mass_w}", "potential", h1_seminorm(state.phi)),
+            (f"initial.amplitude = {config.amplitude!r}", "velocity",
+             kinetic_energy(state.u) + grad_norm_sq(state.u)),
+        )
+    for key, what, size in sizes:
+        if not math.isfinite(size):
+            raise ConfigError(f"{key} is too large for this grid: the squared norm of "
+                              f"the initial {what} overflows")
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +488,13 @@ def _write_snapshots(state, outdir, index, paths):
         paths.append(path)
 
 
+def _write_csv(path, reports):
+    with open(path, "w") as fh:
+        fh.write(csv_header() + "\n")
+        for rep in reports:
+            fh.write(csv_row(rep) + "\n")
+
+
 def run(config, write_outputs=True):
     """Drive the configured scenario to t_max; see the module docstring."""
     equilibrium, state = setup(config)
@@ -462,22 +507,24 @@ def run(config, write_outputs=True):
         export_stationary(equilibrium, os.path.join(config.outdir, "stationary"))
         csv_path = os.path.join(config.outdir, "diagnostics.csv")
 
-    if config.t_max > 0.0:
-        reports.append(energy_report(state, equilibrium))
-        if write_outputs:
-            _write_snapshots(state, config.outdir, 0, snapshots)
-        for nstep, _, state, done in trajectory(state, config, config.t_max):
-            if nstep % config.record_every == 0 or done:
-                reports.append(energy_report(state, equilibrium))
-            if write_outputs and (
-                done or (config.snapshot_every > 0 and nstep % config.snapshot_every == 0)
-            ):
-                _write_snapshots(state, config.outdir, nstep, snapshots)
+    try:
+        if config.t_max > 0.0:
+            reports.append(energy_report(state, equilibrium))
+            if write_outputs:
+                _write_snapshots(state, config.outdir, 0, snapshots)
+            for nstep, _, state, done in trajectory(state, config, config.t_max):
+                if nstep % config.record_every == 0 or done:
+                    reports.append(energy_report(state, equilibrium))
+                if write_outputs and (
+                    done or (config.snapshot_every > 0 and nstep % config.snapshot_every == 0)
+                ):
+                    _write_snapshots(state, config.outdir, nstep, snapshots)
+    except SolverError:
+        if write_outputs:  # keep the rows recorded before the failure
+            _write_csv(csv_path, reports)
+        raise
 
     if write_outputs:
-        with open(csv_path, "w") as fh:
-            fh.write(csv_header() + "\n")
-            for rep in reports:
-                fh.write(csv_row(rep) + "\n")
+        _write_csv(csv_path, reports)
     return RunResult(reports, state, snapshots, csv_path,
                      config.outdir if write_outputs else None, equilibrium)

@@ -52,13 +52,13 @@ full grid, which no matrix is assembled for: R takes the five-point
 stencil.
 
 The LU of B_q is the only sparse factorization in the package. At 256^2
-its fill is a fifth of the full-grid LU's, and it still takes about two
-thirds of the solve's time. It keeps the minimum-degree ordering of
-B_q + B_q^T, so its fill is fixed, but takes SuperLU panels of 4 columns and
-relaxed supernodes of at most 6 (NEWTON_LU) in place of scipy's
-general-purpose 20 and 10. SuperLU's panel workspace grows as n times the
-panel width, and on this five-point matrix the wider panels and larger
-supernodes buy no speed.
+its fill is a fifth of the full-grid LU's, and it still takes about 70 %
+of the solve's time (50 of 70 ms, median of 15 solves, 2-vCPU Xeon). It
+keeps the minimum-degree ordering of B_q + B_q^T, so its fill is fixed,
+but takes SuperLU panels of 4 columns and relaxed supernodes of at most
+6 (NEWTON_LU) in place of scipy's general-purpose 20 and 10. SuperLU's
+panel workspace grows as n times the panel width, and on this five-point
+matrix the wider panels and larger supernodes buy no speed.
 
 J is strictly convex for every M, N > 0 (the log-integral terms are convex,
 the Dirichlet energy strictly so), so B - U U^T is symmetric positive
@@ -67,6 +67,14 @@ mass. A backtracking line search then gives global convergence from
 phi = 0, and the full steps near the minimizer converge quadratically.
 Exponentials are evaluated in shifted (log-sum-exp) form throughout, so
 moderate-amplitude potentials cannot overflow.
+
+Each iterate is evaluated once (_maxwellians): one pair of shifted
+exponentials e^{+-phi - max} gives its two Maxwellians and its two
+log-integrals, and with its Dirichlet term, J. The line search evaluates
+each trial so, and the accepted trial becomes the next iterate with its
+Maxwellians, log-integrals and J at hand, so a solve evaluates the pair
+1 + sum(1 + halvings) times. J at phi = 0 is taken only after the first
+direction, so nothing but the exponentials precedes the first LU.
 """
 
 import os
@@ -81,16 +89,34 @@ from .grid import ROUNDING, ScalarField, grad_to_faces, h1_seminorm, save_matrix
 from .poisson import _lap1d, _stencil, apply_dirichlet_laplacian
 
 
-def _log_int_exp(z, vol):
-    """log of int e^{z} dx by midpoint quadrature, shifted against overflow."""
+def _shifted_exp(z, vol):
+    """(e, s, log int e^{z} dx) with e = e^{z - max z} and s its sum, by
+    midpoint quadrature; the shift keeps e from overflowing."""
     m = float(z.max())
-    return m + np.log(vol * float(np.exp(z - m).sum()))
+    e = np.exp(z - m)
+    total = float(e.sum())
+    return e, total, m + np.log(vol * total)
 
 
-def _normalized_exp(z, mass, vol):
-    """mass * e^{z} / int e^{z}, evaluated stably."""
-    e = np.exp(z - float(z.max()))
-    return mass * e / (vol * float(e.sum()))
+def _maxwellians(z, M, N, vol):
+    """(v, w, log int e^{z}, log int e^{-z}) from one pair of shifted
+    exponentials, with v = M e^{z} / int e^{z} and w = N e^{-z} / int e^{-z}.
+
+    v and w are scaled in place, by the same two roundings as
+    M * e / (vol * s).
+    """
+    v, s_v, log_v = _shifted_exp(z, vol)
+    w, s_w, log_w = _shifted_exp(-z, vol)
+    v *= M
+    v /= vol * s_v
+    w *= N
+    w /= vol * s_w
+    return v, w, log_v, log_w
+
+
+def _functional(phi, M, N, log_v, log_w):
+    """J at the ScalarField phi, given its two log-integrals."""
+    return 0.5 * h1_seminorm(phi) + M * log_v + N * log_w
 
 
 class StationarySolution:
@@ -123,13 +149,8 @@ def functional_J(phi, M, N):
     """The convex functional; gradient term uses the Dirichlet ghost closure."""
     if M <= 0.0 or N <= 0.0:
         raise ValueError("masses must be positive")
-    z = phi.data.ravel()
-    vol = phi.grid.vol
-    return (
-        0.5 * h1_seminorm(phi)
-        + M * _log_int_exp(z, vol)
-        + N * _log_int_exp(-z, vol)
-    )
+    _, _, log_v, log_w = _maxwellians(phi.data, M, N, phi.grid.vol)
+    return _functional(phi, M, N, log_v, log_w)
 
 
 # SuperLU options for the Newton LU (see the module docstring). Only the
@@ -227,17 +248,20 @@ def solve_pb(M, N, grid, max_iter=50):
     mult = _multiplicity(shape)
     vol = grid.vol
     phi = np.zeros(shape)
+    dens_v, dens_w, log_v, log_w = _maxwellians(phi, M, N, vol)
+    J0 = None  # J at phi; after the first step, the line search's value
 
-    def J_of(arr):
-        return functional_J(ScalarField(grid, arr), M, N)
+    def evaluate(arr):
+        """J at a line-search trial, and its Maxwellians and log-integrals."""
+        field = ScalarField(grid, arr)
+        maxwellians = _maxwellians(arr, M, N, vol)
+        return _functional(field, M, N, *maxwellians[2:]), maxwellians
 
     def norm(arr):
         return float(np.sqrt(vol * np.vdot(arr, arr)))
 
     history = []
     for k in range(max_iter + 1):
-        dens_v = _normalized_exp(phi, M, vol)
-        dens_w = _normalized_exp(-phi, N, vol)
         R = _stencil(phi, grid, "dirichlet") - dens_v + dens_w
         res = norm(R)
         norm_b = grid.lap_norm + float((dens_v + dens_w).max())
@@ -252,22 +276,28 @@ def solve_pb(M, N, grid, max_iter=50):
         if not (np.isfinite(delta).all() and slope < 0.0):
             what = f"Poisson-Boltzmann Newton (no descent direction at iteration {k + 1})"
             raise NonConvergence(k, res, what)
-        J0 = J_of(phi)
+        if J0 is None:
+            J0 = _functional(ScalarField(grid, phi), M, N, log_v, log_w)
         # Near the minimum the decrease per step falls below the rounding
         # error of J, which is that of its largest terms: with M and N large
         # and close, the log-integral terms dwarf J itself. The
         # sufficient-decrease test allows that much.
-        logs = M * abs(_log_int_exp(phi, vol)) + N * abs(_log_int_exp(-phi, vol))
+        logs = M * abs(log_v) + N * abs(log_w)
         fuzz = ROUNDING * (1.0 + abs(J0) + logs)
         alpha = 1.0
         halvings = 0
-        while J_of(phi + alpha * delta) > J0 + 1e-4 * alpha * slope + fuzz:
+        trial = phi + alpha * delta
+        J1, maxwellians = evaluate(trial)
+        while J1 > J0 + 1e-4 * alpha * slope + fuzz:
             alpha *= 0.5
             halvings += 1
             if alpha < 1e-12:
                 raise LineSearchStall(J0, alpha)
+            trial = phi + alpha * delta
+            J1, maxwellians = evaluate(trial)
         history.append((res, alpha, halvings))
-        phi = phi + alpha * delta
+        phi, J0 = trial, J1
+        dens_v, dens_w, log_v, log_w = maxwellians
 
     fields = (ScalarField(grid, a) for a in (phi, dens_v, dens_w))
     return StationarySolution(*fields, float(M), float(N), res, k, history)
@@ -287,8 +317,7 @@ def sinh_form_check(s):
     """
     phi = s.phi.data
     vol = s.grid.vol
-    log_ip = _log_int_exp(phi, vol)
-    log_im = _log_int_exp(-phi, vol)
+    _, _, log_ip, log_im = _maxwellians(phi, s.M, s.N, vol)
     alpha2 = 2.0 * np.exp(0.5 * (np.log(s.M) + np.log(s.N) - log_ip - log_im))
     beta = 0.5 * (np.log(s.N) + log_ip - np.log(s.M) - log_im)
     r = apply_dirichlet_laplacian(s.phi).data - alpha2 * np.sinh(phi - beta)

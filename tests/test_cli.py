@@ -35,6 +35,25 @@ class TestExitCodes:
     def test_missing_subcommand(self, capsys):
         assert cli.main([]) == 1
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("argv, key", [
+        (["--preset", "near-equilibrium", "--set", "initial.M=1e300"], "initial.M = 1e+300"),
+        (["--preset", "vortex-charge", "--set", "initial.amplitude=1e307",
+          "--set", "time.t_max=0.01"], "initial.amplitude = 1e+307"),
+    ])
+    def test_overflowing_value_names_its_key(self, tmp_path, capsys, command, argv, key):
+        """Values whose initial state has no finite squared norm on the grid
+        were solver errors after a page of overflow warnings; they are
+        config errors naming the key, with no RuntimeWarning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([command, "--quiet", *argv, "--set", "grid.nx=8",
+                             "--set", "grid.ny=8", "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {key} is too large"), err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_config_error_maps_to_one(self, tmp_path, capsys):
         percent = tmp_path / "percent.cfg"
         percent.write_text("[grid]\nnx = 8%x\n")

@@ -221,14 +221,32 @@ def _with_neighbours(values):
     return np.concatenate([np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)])
 
 
+def _mirrored(top, nrow):
+    """The nrow-row matrix whose row j and row nrow - 1 - j both equal top[j]."""
+    return np.concatenate([top[:(nrow + 1) // 2], top[:nrow // 2][::-1]])
+
+
 @st.composite
 def matrices(draw):
-    """Arbitrary float64 bit patterns: a 1-D row, 1x1, 64x65 or 65x64."""
-    shape = draw(st.sampled_from([None, (1, 1), (64, 65), (65, 64)]))
+    """Arbitrary float64 bit patterns: a 1-D row, 1x1, 2x33, 3x17, 64x65 or
+    65x64; a 2-D draw may be made row-mirrored (row j and row nrow - 1 - j
+    hold the same bits) by repeating its first ceil(nrow/2) rows."""
+    shape = draw(st.sampled_from([None, (1, 1), (2, 33), (3, 17), (64, 65), (65, 64)]))
     if shape is None:
         shape = (draw(st.integers(1, 50)),)
-    bits = draw(hnp.arrays(np.uint64, shape, elements=st.integers(0, 2 ** 64 - 1)))
-    return bits.view(np.float64)
+    data = draw(hnp.arrays(np.uint64, shape, elements=st.integers(0, 2 ** 64 - 1)))
+    if len(shape) == 2 and draw(st.booleans()):
+        data = _mirrored(data, shape[0])
+    return data.view(np.float64)
+
+
+def _mirrored_but_one(nrow, ncol):
+    """A row-mirrored matrix of random doubles whose last row is one ulp off
+    its mirror, the first row."""
+    rng = np.random.default_rng(nrow)
+    data = _mirrored(rng.standard_normal(((nrow + 1) // 2, ncol)), nrow)
+    data[-1, 0] = np.nextafter(data[-1, 0], np.inf)
+    return data
 
 
 # Each example rewrites the same file under tmp_path.
@@ -258,8 +276,18 @@ class TestMatrixIO:
     @example(data=np.array([round(v, d) for v in (2.0 / 3.0, -98765.4321987654321)
                             for d in range(1, 18)]))
     @example(data=np.array([131073 / 2.0 ** 18, 0.125, 2.5, 1.0 / 3.0, 9.9999999999999996e-281]))
+    # equal values but not equal bits: the first and last rows print 0 and -0
+    @example(data=np.array([[0.0, 1.5], [2.0, 3.0], [-0.0, 1.5]]))
+    @example(data=_mirrored(np.array([[np.nan, np.inf, -np.inf, 5e-324, -5e-324, -0.0, 0.0],
+                                      [1.0, -2.5, np.nan, 1e300, -1e-300, np.inf, 7.0]]), 3))
+    @example(data=_mirrored(np.array([[np.nan, -np.inf, 5e-324], [-0.0, np.inf, -5e-324]]), 4))
+    # 301 formatted rows span two blocks of _BLOCK // 64 = 256 rows
+    @example(data=_mirrored(np.random.default_rng(601).standard_normal((301, 64)), 601))
+    @example(data=_mirrored_but_one(7, 5))
+    @example(data=_mirrored_but_one(8, 3))
     def test_bytes_match_savetxt(self, tmp_path, data):
-        """save_matrix writes exactly the bytes of np.savetxt with %.17g."""
+        """save_matrix writes exactly the bytes of np.savetxt with %.17g,
+        whether or not the rows of the matrix mirror."""
         assert _written(tmp_path, save_matrix, data) == _written(tmp_path, savetxt_17g, data)
 
     def test_random_bit_patterns_match_savetxt(self, tmp_path):

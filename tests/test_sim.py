@@ -407,6 +407,40 @@ class TestHookContract:
         assert snaps == [] and len(stat) == 3
         _assert_matrices_like_savetxt(out, stat)
 
+    def test_mirrored_rows_are_formatted_once(self, tmp_path, monkeypatch):
+        """save_matrix formats only the first half of the rows of a matrix
+        whose rows mirror bit for bit: `ehd2d stationary` at 32^2 hands
+        _format_block 16 of the 32 rows of each of its three files. The
+        velocity snapshot ux of a vortex run does not mirror, and every
+        value of it is formatted."""
+        from ehd2d import cli, grid, sim
+        formatted = []
+        inner = grid._format_block
+
+        def recorded(x, seps):
+            formatted.append(x.size)
+            return inner(x, seps)
+
+        monkeypatch.setattr(grid, "_format_block", recorded)
+        assert cli.main(["stationary", "--quiet", "--preset", "relax-small-mass",
+                         "--set", "grid.nx=32", "--set", "grid.ny=32",
+                         "--out", str(tmp_path / "stat")]) == 0
+        assert sum(formatted) == 3 * 16 * 32
+
+        per_file = {}
+
+        def save(path, data):
+            formatted.clear()
+            grid.save_matrix(path, data)
+            per_file[os.path.basename(path)] = (np.shape(data), sum(formatted))
+
+        monkeypatch.setattr(sim, "save_matrix", save)
+        run(small("vortex-charge", f"output.dir={tmp_path / 'run'}"))
+        shape, count = per_file["ux_000005.txt"]
+        assert shape == (16, 17) and count == 16 * 17
+        ux = load_matrix(tmp_path / "run" / "snapshots" / "ux_000005.txt")
+        assert not np.array_equal(ux, ux[::-1])
+
     def test_benchmark_entry_points_resolve(self):
         """Every name the benchmark's traced pass wraps exists and is
         callable, and its per-layer metrics are the ones BENCHMARK.json
@@ -475,6 +509,34 @@ class TestRun:
             "step 3 (t = 0.002, dt = 0.001): charge transport solve did not "
             "converge after 1 iterations (residual 2.500e-03)"
         )
+
+    def test_failed_run_keeps_its_rows(self, tmp_path, capsys, monkeypatch):
+        """A SolverError on the third step still leaves diagnostics.csv with
+        the header and the rows of t = 0 and of steps 1 and 2, each equal
+        to the unforced run's; the CLI exits 2 with one error line."""
+        from ehd2d import cli, sim
+        argv = ["run", "--quiet", "--preset", "vortex-charge", "--set", "grid.nx=16",
+                "--set", "grid.ny=16", "--set", "time.t_max=5e-3",
+                "--set", "output.record_every=1"]
+        assert cli.main(argv + ["--out", str(tmp_path / "whole")]) == 0
+        whole = (tmp_path / "whole" / "diagnostics.csv").read_text().splitlines()
+        calls = []
+        inner = sim.step
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise NonConvergence(1, 2.5e-3, "charge transport solve")
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "step", failing)
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", str(tmp_path / "failed")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver error: step 3 ")
+        failed = (tmp_path / "failed" / "diagnostics.csv").read_text().splitlines()
+        assert len(whole) == 7
+        assert failed == whole[:4]
 
     def test_zero_horizon_records_nothing(self, tmp_path):
         cfg = small("symmetric-null", "time.t_max=0.0",

@@ -19,6 +19,7 @@ from ehd2d import (
     ScalarField,
     apply_dirichlet_laplacian,
     functional_J,
+    h1_seminorm,
     integrate,
     laplacian_matrix,
     lp_norm,
@@ -59,6 +60,12 @@ def full_grid_direction(A, v, w, R, M, N, vol):
     return Z_R + Z_U @ np.linalg.solve(C, U.T @ Z_R)
 
 
+def log_int_exp(z, vol):
+    """log of int e^{z} dx by midpoint quadrature, shifted against overflow."""
+    m = float(z.max())
+    return m + np.log(vol * float(np.exp(z - m).sum()))
+
+
 def full_grid_solve(M, N, grid, phi):
     """solve_pb's damped Newton from the cell array phi, with every
     direction solved on the full grid by laplacian_matrix: the same
@@ -87,8 +94,7 @@ def full_grid_solve(M, N, grid, phi):
         delta = full_grid_direction(A, v, w, R, M, N, vol)
         slope = -vol * float(R @ delta)
         J0 = J_of(phi)
-        logs = (M * abs(stationary._log_int_exp(phi, vol))
-                + N * abs(stationary._log_int_exp(-phi, vol)))
+        logs = M * abs(log_int_exp(phi, vol)) + N * abs(log_int_exp(-phi, vol))
         fuzz = ROUNDING * (1.0 + abs(J0) + logs)
         alpha = 1.0
         while J_of(phi + alpha * delta) > J0 + 1e-4 * alpha * slope + fuzz:
@@ -107,10 +113,64 @@ LINE_SEARCH_CASE = (7, 10, 0.3470495617567223, 3.167806813296821,
                     5851.277307903307, 5085.696403023489)
 LINE_SEARCH_DRAW = dict(zip(("shape", "log_lx", "log_ly", "log_m", "log_n"),
                             (LINE_SEARCH_CASE[:2], *np.log10(LINE_SEARCH_CASE[2:]))))
-# (nx, ny, lx, ly, M, N) of every solve above
+# a solve whose third step takes one halving
+HALVING_CASE = (16, 16, 4.0, 4.0, 1e4, 1e6)
+# (nx, ny, lx, ly, M, N) of every solve above but HALVING_CASE
 NEWTON_CASES = ([(n, n, 4.0, 4.0, M, N) for n in (32, 64, 128) for M, N in NEWTON_MASSES]
                 + [(nx, ny, 4.0, 4.0, M, N) for nx, ny, M, N in ROUNDING_FLOORS]
                 + [LINE_SEARCH_CASE])
+
+
+def reference_solve(M, N, grid):
+    """solve_pb's Newton loop as it was before each iterate was evaluated
+    once: the Maxwellians from their own exponentials, J_of(phi) every
+    iteration, logs from two more log-integrals, J with its own
+    exponentials for every line-search trial, and the quarter directions
+    of _newton_direction. Returns phi, v, w, the residual and the
+    history."""
+    shape = (grid.ny, grid.nx)
+    Aq = stationary._folded_laplacian(grid)
+    mult = stationary._multiplicity(shape)
+    vol = grid.vol
+    phi = np.zeros(shape)
+
+    def maxwellian(z, mass):
+        e = np.exp(z - float(z.max()))
+        return mass * e / (vol * float(e.sum()))
+
+    def J_of(arr):
+        z = arr.ravel()
+        return (0.5 * h1_seminorm(ScalarField(grid, arr)) + M * log_int_exp(z, vol)
+                + N * log_int_exp(-z, vol))
+
+    def norm(arr):
+        return float(np.sqrt(vol * np.vdot(arr, arr)))
+
+    history = []
+    for _ in range(51):
+        v, w = maxwellian(phi, M), maxwellian(-phi, N)
+        R = stationary._stencil(phi, grid, "dirichlet") - v + w
+        res = norm(R)
+        norm_b = grid.lap_norm + float((v + w).max())
+        if res <= ROUNDING * (norm_b * norm(phi) + norm(v) + norm(w)):
+            history.append((res, 0.0, 0))
+            return phi, v, w, res, history
+        quarter = (stationary._fold(a).ravel() for a in (v, w, R))
+        delta = stationary._unfold(stationary._newton_direction(Aq, mult, *quarter, M, N, vol),
+                                   shape)
+        slope = -vol * float(np.vdot(R, delta))
+        J0 = J_of(phi)
+        logs = M * abs(log_int_exp(phi, vol)) + N * abs(log_int_exp(-phi, vol))
+        fuzz = ROUNDING * (1.0 + abs(J0) + logs)
+        alpha = 1.0
+        halvings = 0
+        while J_of(phi + alpha * delta) > J0 + 1e-4 * alpha * slope + fuzz:
+            alpha *= 0.5
+            halvings += 1
+            assert alpha >= 1e-12, "reference line search stalled"
+        history.append((res, alpha, halvings))
+        phi = phi + alpha * delta
+    raise AssertionError("reference Newton did not converge in 50 iterations")
 
 
 class TestSymmetricMasses:
@@ -366,6 +426,39 @@ class TestNewtonLU:
                                 (s.w, ref.w, 1e-12)):
             gap = np.abs(got.data - want.data).max() / np.abs(want.data).max()
             assert gap <= rtol, f"relative gap {gap:.3e}"
+
+
+class TestOneEvaluationPerIterate:
+    """solve_pb evaluates the exponentials of each iterate and of each
+    line-search trial once; the accepted trial's give the next Maxwellians,
+    J0 and log-integrals. That reorders no arithmetic, so every solve
+    equals reference_solve's bit for bit."""
+
+    @pytest.mark.parametrize("nx, ny, lx, ly, M, N", NEWTON_CASES + [HALVING_CASE])
+    def test_same_bits_as_the_reference_loop(self, nx, ny, lx, ly, M, N):
+        g = Grid2D(nx, ny, lx, ly)
+        s = solve_pb(M, N, g)
+        phi, v, w, res, history = reference_solve(M, N, g)
+        for got, want in ((s.phi.data, phi), (s.v.data, v), (s.w.data, w)):
+            assert got.tobytes() == want.tobytes()
+        assert s.residual == res
+        assert s.history == history
+
+    @pytest.mark.parametrize("nx, ny, lx, ly, M, N", [NEWTON_CASES[4], HALVING_CASE])
+    def test_one_exponential_pair_per_trial(self, monkeypatch, nx, ny, lx, ly, M, N):
+        """1 evaluation at phi = 0, then 1 + halvings per Newton step: 6 in
+        5 steps without a halving, and 9 in 7 steps, one of them halved."""
+        calls = []
+        inner = stationary._maxwellians
+
+        def recorded(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(stationary, "_maxwellians", recorded)
+        s = solve_pb(M, N, Grid2D(nx, ny, lx, ly))
+        assert len(calls) == 1 + sum(1 + h for _, _, h in s.history[:-1])
+        assert len(calls) == {NEWTON_CASES[4]: 6, HALVING_CASE: 9}[(nx, ny, lx, ly, M, N)]
 
 
 class TestQuarterGrid:
