@@ -160,6 +160,11 @@ def ladyzhenskaya_ratio(u, grad_sq=None):
     uyc = 0.5 * (u.uy[:-1, :] + u.uy[1:, :])
     speed2 = uxc * uxc + uyc * uyc
     l2 = np.sqrt(g.vol * float(speed2.sum()))
-    l4 = (g.vol * float((speed2 * speed2).sum())) ** 0.25
+    with np.errstate(over="ignore"):
+        l4 = (g.vol * float((speed2 * speed2).sum())) ** 0.25
+    if l4 == np.inf:  # |u|^4 overflows past |u| ~ 1e77; the ratio is scale-free
+        top = float(speed2.max())
+        scaled = speed2 / top
+        l4 = (g.vol * float((scaled * scaled).sum())) ** 0.25 * np.sqrt(top)
     gn = (grad_norm_sq(u) if grad_sq is None else grad_sq) ** 0.25
     return float(l4 / (np.sqrt(l2) * gn))

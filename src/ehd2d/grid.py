@@ -321,9 +321,10 @@ def _scaled(a, k, tab):
     return ip.astype(np.int64) + fl.astype(np.int64), r - fl
 
 
-def _format_block(x, seps):
-    """'%.17g' % v for each v of the 1-D array x, each followed by its
-    separator byte, concatenated."""
+def _format_block(x):
+    """'%.17g' % v for each v of the 1-D array x, as 30 bytes a value: row i
+    of the returned (x.size, 30) uint8 array holds the text of x[i] among
+    NUL bytes, and its last byte, NUL, is left for the caller's separator."""
     n = x.size
     a = np.abs(x)
     zero = a == 0.0
@@ -393,14 +394,12 @@ def _format_block(x, seps):
     T[26] = (expo & (ae >= 100)) * (ord("0") + ae // 100).astype(np.uint8)
     T[27] = expo * (ord("0") + ae // 10 % 10).astype(np.uint8)
     T[28] = expo * (ord("0") + ae % 10).astype(np.uint8)
-    T[29] = seps
     out = np.ascontiguousarray(T.T)
     for i in np.flatnonzero(fallback):
         text = ("%.17g" % x[i]).encode()
         out[i, :29] = 0
         out[i, :len(text)] = np.frombuffer(text, np.uint8)
-    out = out.ravel()
-    return out[out != 0].tobytes()
+    return out
 
 
 def save_matrix(path, data):
@@ -423,8 +422,13 @@ def save_matrix(path, data):
     When row j and row nrow - 1 - j hold the same bit patterns for every j,
     as in the stationary fields, which are even about both mid-lines, only
     the first ceil(nrow/2) rows are formatted; the remaining lines are
-    those rows' text again in reverse order. Rows are compared as bits, not
-    values: 0.0 == -0.0, but %.17g prints them as 0 and -0.
+    those rows' text again in reverse order. Likewise, when every row that
+    is formatted reads the same bits backwards, only its first ceil(ncol/2)
+    values are formatted, and the right half of each line is their text
+    again in reverse order, with the separators rewritten. Both mirrors
+    compare bits, not values: 0.0 == -0.0, but %.17g prints them as 0 and
+    -0, and NaNs may differ in payload. Any other matrix costs the two
+    comparisons and is formatted whole.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     nrow, ncol = data.shape
@@ -432,17 +436,25 @@ def save_matrix(path, data):
         if ncol == 0:  # np.savetxt's empty lines
             fh.write(b"\n" * nrow)
             return
-        rows = max(1, _BLOCK // ncol)
-        seps = np.full((rows, ncol), ord(" "), np.uint8)
-        seps[:, -1] = ord("\n")
         bits = data.view(np.uint64)
         half = nrow // 2  # rows written again in reverse order
         if not np.array_equal(bits[:half], bits[::-1][:half]):
             half = 0
+        shown = nrow - half  # rows formatted
+        width = ncol  # columns formatted
+        if np.array_equal(bits[:shown, :ncol // 2], bits[:shown, ::-1][:, :ncol // 2]):
+            width = (ncol + 1) // 2
+        rows = max(1, _BLOCK // width)
+        seps = np.full((rows, ncol), ord(" "), np.uint8)
+        seps[:, -1] = ord("\n")
         lines = []
-        for r in range(0, nrow - half, rows):
-            block = data[r:min(r + rows, nrow - half)]
-            text = _format_block(block.ravel(), seps[:len(block)].ravel())
+        for r in range(0, shown, rows):
+            block = data[r:min(r + rows, shown), :width]
+            cells = _format_block(block.ravel()).reshape(len(block), width, 30)
+            if width < ncol:
+                cells = np.concatenate((cells, cells[:, :ncol // 2][:, ::-1]), axis=1)
+            cells[:, :, 29] = seps[:len(block)]
+            text = cells.tobytes().translate(None, b"\0")
             fh.write(text)
             if half:
                 lines += text.splitlines(keepends=True)

@@ -29,8 +29,7 @@ with ||Lap_h|| <= 4/hx^2 + 4/hy^2 (Grid2D.lap_norm), so the check means the
 same thing on every mesh and still catches a wrong solve. residual() is
 that check; the check command holds each potential to it too.
 laplacian_matrix assembles the same operator as a sparse matrix for the
-tests; the stationary module folds _lap1d onto a quarter of the grid for its
-Newton matrix.
+tests.
 """
 
 import functools

@@ -51,14 +51,23 @@ and the line search use every cell, so convergence is certified on the
 full grid, which no matrix is assembled for: R takes the five-point
 stencil.
 
+B_q is assembled once per solve, straight into the CSC arrays that
+SuperLU reads (_newton_matrix): five bands from the two folded 1-D
+operators, with the slot of each diagonal entry recorded. Each iteration
+only writes (v_q + w_q) - diag(A_q) into those slots; no sparse algebra
+runs per iteration. The arrays equal, bit for bit, those scipy forms from
+diag(v_q + w_q) - A_q, so the LU and every iterate are unchanged by
+assembling them directly.
+
 The LU of B_q is the only sparse factorization in the package. At 256^2
-its fill is a fifth of the full-grid LU's, and it still takes about 70 %
-of the solve's time (50 of 70 ms, median of 15 solves, 2-vCPU Xeon). It
-keeps the minimum-degree ordering of B_q + B_q^T, so its fill is fixed,
-but takes SuperLU panels of 4 columns and relaxed supernodes of at most
-6 (NEWTON_LU) in place of scipy's general-purpose 20 and 10. SuperLU's
-panel workspace grows as n times the panel width, and on this five-point
-matrix the wider panels and larger supernodes buy no speed.
+its fill is a fifth of the full-grid LU's, and it takes about three
+quarters of the solve's time (55 of 72 ms, median of 15 solves, 2-vCPU
+Xeon, one BLAS thread). It keeps the minimum-degree ordering of
+B_q + B_q^T, so its fill is fixed, but takes SuperLU panels of 4 columns
+and relaxed supernodes of at most 6 (NEWTON_LU) in place of scipy's
+general-purpose 20 and 10. SuperLU's panel workspace grows as n times the
+panel width, and on this five-point matrix the wider panels and larger
+supernodes buy no speed.
 
 J is strictly convex for every M, N > 0 (the log-integral terms are convex,
 the Dirichlet energy strictly so), so B - U U^T is symmetric positive
@@ -86,7 +95,7 @@ from scipy.sparse.linalg import splu
 from .errors import LineSearchStall, NonConvergence
 from .fluid import body_force
 from .grid import ROUNDING, ScalarField, grad_to_faces, h1_seminorm, save_matrix
-from .poisson import _lap1d, _stencil, apply_dirichlet_laplacian
+from .poisson import _stencil, apply_dirichlet_laplacian
 
 
 def _shifted_exp(z, vol):
@@ -175,21 +184,68 @@ def _mirror(n):
     return np.minimum(i, n - 1 - i)
 
 
-def _folded_laplacian(grid):
-    """Dirichlet Lap_h on fields even about both mid-lines, acting on the
-    lower-left quarter of cells (C order, j major).
+def _folded_bands(n, h):
+    """(diag, lower, upper) of the Dirichlet second difference on an axis of
+    n cells, folded onto its first ceil(n/2) cells: row i of the folded
+    operator holds lower[i] at column i - 1, diag[i] at i and upper[i] at
+    i + 1, and lower[0] and upper[-1] are 0.
 
-    Per axis it is the 1-D operator times the mirror extension P (cell i of
-    the full axis takes quarter cell min(i, n - 1 - i)), restricted to the
-    quarter's rows; the 2-D operator is their Kronecker sum, as in
-    poisson.laplacian_matrix.
+    It is (1/h^2) tridiag(1, -2, 1) with the ghost = -interior closure
+    (first diagonal -3/h^2), times the mirror extension (cell i takes quarter
+    cell min(i, n - 1 - i)). On an even axis the last quarter cell's right
+    neighbour is itself, so its diagonal is -2/h^2 + 1/h^2; on an odd one the
+    middle cell's two neighbours are one quarter cell, so its lower entry is
+    2/h^2. Every entry is a multiple of the rounded 1/h^2, as scipy forms
+    poisson._lap1d: a sparse matrix over h^2 is that matrix times 1/h^2.
     """
-    def folded(n, h):
-        m = _mirror(n)
-        P = sp.csr_matrix((np.ones(n), (np.arange(n), m)))
-        return (_lap1d(n, h, "dirichlet") @ P)[: P.shape[1]]
+    c = 1.0 / (h * h)
+    q = (n + 1) // 2
+    diag = np.full(q, -2.0 * c)
+    diag[0] = -3.0 * c
+    lower = np.full(q, c)
+    lower[0] = 0.0
+    upper = np.full(q, c)
+    upper[-1] = 0.0
+    if n % 2:
+        lower[-1] = c + c
+    else:
+        diag[-1] = -2.0 * c + c
+    return diag, lower, upper
 
-    return sp.kronsum(folded(grid.nx, grid.hx), folded(grid.ny, grid.hy), format="csr")
+
+def _newton_matrix(grid):
+    """B_q = diag(v_q + w_q) - A_q in CSC form, to be completed per iterate.
+
+    A_q is the folded Dirichlet Lap_h on the lower-left quarter of cells
+    (C order, j major), the Kronecker sum of the two folded axes: column
+    (j, i) holds rows (j - 1, i), (j, i - 1), (j, i), (j, i + 1) and
+    (j + 1, i), in that order, where they exist. Returns (B, slots, diag):
+    B holds -A_q off the diagonal, and writing (v_q + w_q) - diag into
+    B.data[slots] completes it. The arrays are those of
+    (scipy.sparse.diags(v_q + w_q) - A_q).tocsc(), bit for bit; like
+    scipy, they leave out the entries of an axis whose 1/h^2 is 0 (h^2
+    overflows).
+    """
+    dx, lx, ux = _folded_bands(grid.nx, grid.hx)
+    dy, ly, uy = _folded_bands(grid.ny, grid.hy)
+    qy, qx = dy.size, dx.size
+    # entry (j, i, b) is band b of column (j, i): the value of B in row
+    # (j, i) + (-qx, -1, 0, 1, qx)[b]; a 0 marks no entry
+    bands = np.zeros((qy, qx, 5))
+    bands[1:, :, 0] = -uy[:-1, None]
+    bands[:, 1:, 1] = -ux[:-1]
+    bands[:, :-1, 3] = -lx[1:]
+    bands[:-1, :, 4] = -ly[1:, None]
+    keep = bands != 0.0
+    keep[:, :, 2] = True
+    keep = keep.ravel()
+    q = qx * qy
+    rows = np.arange(q, dtype=np.int32)[:, None] + np.array([-qx, -1, 0, 1, qx], np.int32)
+    end = np.cumsum(keep, dtype=np.int32)  # end[5 k + b]: entries up to band b of column k
+    indptr = np.concatenate((np.zeros(1, np.int32), end[4::5]))
+    B = sp.csc_matrix((bands.ravel()[keep], rows.ravel()[keep], indptr), shape=(q, q))
+    slots = end[2::5] - 1
+    return B, slots, (dx + dy[:, None]).ravel()
 
 
 def _fold(x):
@@ -209,18 +265,17 @@ def _multiplicity(shape):
     return np.outer(*(np.bincount(_mirror(n)) for n in shape)).ravel()
 
 
-def _newton_direction(Aq, mult, v, w, R, M, N, vol):
-    """Exact Newton direction on the quarter: solves (B_q - U V^T) delta = R
+def _newton_direction(B, mult, v, w, R, M, N, vol):
+    """Exact Newton direction on the quarter: solves (B - U V^T) delta = R
     by Woodbury.
 
-    v, w and R are quarter cell vectors, B_q = diag(v + w) - Aq with Aq the
-    folded Lap_h, U = [sqrt(vol/M) v, sqrt(vol/N) w] and V = mult U. The LU
-    of B_q lives only in this call, so it is freed before the next iteration
-    makes its own.
+    v, w and R are quarter cell vectors, B = diag(v + w) - A_q in CSC form
+    with A_q the folded Lap_h, U = [sqrt(vol/M) v, sqrt(vol/N) w] and
+    V = mult U. The LU of B lives only in this call, so it is freed before
+    the next iteration makes its own.
     """
     U = np.column_stack((np.sqrt(vol / M) * v, np.sqrt(vol / N) * w))
     V = mult[:, None] * U
-    B = (sp.diags(v + w) - Aq).tocsc()
     Z = splu(B, permc_spec="MMD_AT_PLUS_A", **NEWTON_LU).solve(np.column_stack((R, U)))
     Z_R, Z_U = Z[:, 0], Z[:, 1:]
     C = np.eye(2) - V.T @ Z_U
@@ -244,7 +299,7 @@ def solve_pb(M, N, grid, max_iter=50):
     if M <= 0.0 or N <= 0.0:
         raise ValueError("masses must be positive")
     shape = (grid.ny, grid.nx)
-    Aq = _folded_laplacian(grid)
+    B, slots, lap_diag = _newton_matrix(grid)
     mult = _multiplicity(shape)
     vol = grid.vol
     phi = np.zeros(shape)
@@ -270,8 +325,9 @@ def solve_pb(M, N, grid, max_iter=50):
             break
         if k == max_iter:
             raise NonConvergence(k, res, "Poisson-Boltzmann Newton")
-        quarter = (_fold(a).ravel() for a in (dens_v, dens_w, R))
-        delta = _unfold(_newton_direction(Aq, mult, *quarter, M, N, vol), shape)
+        v_q, w_q, R_q = (_fold(a).ravel() for a in (dens_v, dens_w, R))
+        B.data[slots] = (v_q + w_q) - lap_diag
+        delta = _unfold(_newton_direction(B, mult, v_q, w_q, R_q, M, N, vol), shape)
         slope = -vol * float(np.vdot(R, delta))
         if not (np.isfinite(delta).all() and slope < 0.0):
             what = f"Poisson-Boltzmann Newton (no descent direction at iteration {k + 1})"

@@ -41,6 +41,11 @@ from ehd2d import (
 )
 
 
+# every test here is one of the thirteen criteria; `pytest -m "not gate"`
+# runs the unit suite without them
+pytestmark = pytest.mark.gate
+
+
 def _criterion(num, ok, detail):
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {num:02d}: {detail}"

@@ -7,6 +7,8 @@ divergence-free with exact no-slip walls. The transform viscous solve
 is checked against a sparse LU of the assembled operator.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -23,12 +25,13 @@ from ehd2d import (
     grad_to_faces,
     kinetic_energy,
     ladyzhenskaya_ratio,
+    load_config,
     step_velocity,
 )
 from ehd2d import fluid
 from ehd2d.errors import NonConvergence, ZeroField
 from ehd2d.poisson import _lap1d, _lap1d_eigenvalues, transform_solve
-from ehd2d.sim import _stream_velocity
+from ehd2d.sim import _stream_velocity, setup
 
 
 def smooth_fields(n):
@@ -236,6 +239,21 @@ class TestLadyzhenskayaRatio:
         r1 = ladyzhenskaya_ratio(u)
         r2 = ladyzhenskaya_ratio(MacVectorField(g, 137.0 * u.ux, 137.0 * u.uy))
         assert r1 == pytest.approx(r2, rel=1e-12)
+
+    def test_huge_amplitude_keeps_the_ratio(self):
+        """|u|^4 overflows past |u| ~ 1e77; the L4 norm is then taken from
+        the speed scaled by its maximum, so the 8^2 vortex-charge state at
+        amplitude 1e78 has the ratio of amplitude 1, and no warning."""
+        ratios = []
+        for amp in (1.0, 1e78):
+            cfg = load_config(preset="vortex-charge", overrides=[
+                "grid.nx=8", "grid.ny=8", f"initial.amplitude={amp}"])
+            u = setup(cfg)[1].u
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ratios.append(ladyzhenskaya_ratio(u))
+        assert np.isfinite(ratios[1])
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
 
     def test_below_interpolation_bound(self):
         """The continuum inequality has constant 1; discrete fields at 64^2

@@ -226,17 +226,36 @@ def _mirrored(top, nrow):
     return np.concatenate([top[:(nrow + 1) // 2], top[:nrow // 2][::-1]])
 
 
+def _col_mirrored(left, ncol):
+    """The ncol-column matrix (a row, for 1-D left) whose column i and column
+    ncol - 1 - i both equal left[..., i]."""
+    return np.ascontiguousarray(_mirrored(left.T, ncol).T)
+
+
+def _bits(*values):
+    """Doubles from their 64-bit patterns."""
+    return np.array(values, dtype=np.uint64).view(np.float64)
+
+
+QUIET_NAN, OTHER_NAN, NEGATIVE_NAN = 0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000
+ONE, INF = 0x3FF0000000000000, 0x7FF0000000000000
+
+
 @st.composite
 def matrices(draw):
-    """Arbitrary float64 bit patterns: a 1-D row, 1x1, 2x33, 3x17, 64x65 or
-    65x64; a 2-D draw may be made row-mirrored (row j and row nrow - 1 - j
-    hold the same bits) by repeating its first ceil(nrow/2) rows."""
-    shape = draw(st.sampled_from([None, (1, 1), (2, 33), (3, 17), (64, 65), (65, 64)]))
+    """Arbitrary float64 bit patterns: a 1-D row, 1x1, 5x1, 4x2, 7x2, 2x33,
+    3x17, 64x65 or 65x64. A draw may be made row-mirrored (row j and row
+    nrow - 1 - j hold the same bits) by repeating its first ceil(nrow/2)
+    rows, column-mirrored likewise, or both."""
+    shape = draw(st.sampled_from([None, (1, 1), (5, 1), (4, 2), (7, 2), (2, 33), (3, 17),
+                                  (64, 65), (65, 64)]))
     if shape is None:
         shape = (draw(st.integers(1, 50)),)
     data = draw(hnp.arrays(np.uint64, shape, elements=st.integers(0, 2 ** 64 - 1)))
     if len(shape) == 2 and draw(st.booleans()):
         data = _mirrored(data, shape[0])
+    if draw(st.booleans()):
+        data = _col_mirrored(data, shape[-1])
     return data.view(np.float64)
 
 
@@ -246,6 +265,15 @@ def _mirrored_but_one(nrow, ncol):
     rng = np.random.default_rng(nrow)
     data = _mirrored(rng.standard_normal(((nrow + 1) // 2, ncol)), nrow)
     data[-1, 0] = np.nextafter(data[-1, 0], np.inf)
+    return data
+
+
+def _col_mirrored_but_one(nrow, ncol, row):
+    """A column-mirrored matrix of random doubles whose given row is one ulp
+    off reading the same backwards."""
+    rng = np.random.default_rng(ncol)
+    data = _col_mirrored(rng.standard_normal((nrow, (ncol + 1) // 2)), ncol)
+    data[row, -1] = np.nextafter(data[row, -1], np.inf)
     return data
 
 
@@ -285,9 +313,25 @@ class TestMatrixIO:
     @example(data=_mirrored(np.random.default_rng(601).standard_normal((301, 64)), 601))
     @example(data=_mirrored_but_one(7, 5))
     @example(data=_mirrored_but_one(8, 3))
+    # mirrored columns with equal values but not equal bits: 0 against -0,
+    # NaNs of other payloads or signs; then the same bits, inf among them
+    @example(data=np.array([[0.0, 1.5, -0.0], [2.0, 3.0, 2.0]]))
+    @example(data=np.array([[-0.0, 0.0], [1.0, 1.0]]))
+    @example(data=_bits(QUIET_NAN, ONE, OTHER_NAN))
+    @example(data=_bits([NEGATIVE_NAN, INF, QUIET_NAN], [ONE, ONE, ONE]))
+    @example(data=_col_mirrored(_bits([OTHER_NAN, INF, 1 << 63, 1], [INF | 1 << 63, 0, ONE, 2]),
+                                7))
+    @example(data=_mirrored(_col_mirrored(_bits([NEGATIVE_NAN, INF], [1 << 63, ONE]), 4), 3))
+    @example(data=_col_mirrored(_bits(INF, INF | 1 << 63), 3))
+    # 1100 column-mirrored rows span three blocks of _BLOCK // 32 = 512 rows
+    @example(data=_col_mirrored(np.random.default_rng(64).standard_normal((1100, 32)), 64))
+    @example(data=_mirrored(_col_mirrored(np.random.default_rng(65).standard_normal((301, 33)),
+                                          65), 601))
+    @example(data=_col_mirrored_but_one(6, 7, 3))
+    @example(data=_col_mirrored_but_one(5, 2, 4))
     def test_bytes_match_savetxt(self, tmp_path, data):
         """save_matrix writes exactly the bytes of np.savetxt with %.17g,
-        whether or not the rows of the matrix mirror."""
+        whether or not the rows, the columns or both of the matrix mirror."""
         assert _written(tmp_path, save_matrix, data) == _written(tmp_path, savetxt_17g, data)
 
     def test_random_bit_patterns_match_savetxt(self, tmp_path):

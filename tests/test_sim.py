@@ -358,6 +358,15 @@ class TestHookContract:
         assert len(newton) == s.iterations
         assert poisson_lu == []
 
+    def test_solve_pb_assembles_the_newton_matrix_once(self, monkeypatch):
+        """B_q is assembled once per solve; each Newton iteration only
+        writes its diagonal before the factorization."""
+        from ehd2d import Grid2D, stationary
+        assembled = _record_calls(monkeypatch, stationary, "_newton_matrix")
+        s = solve_pb(0.05, 0.1, Grid2D(23, 19, 3.0, 2.0))
+        assert s.iterations >= 2
+        assert len(assembled) == 1
+
     def test_cfl_run_makes_no_viscous_factorization(self, tmp_path, monkeypatch):
         """A CFL-limited run sets a new dt each step; the viscous step, the
         projection and the potential are transform solves, so no dt ever
@@ -409,23 +418,25 @@ class TestHookContract:
 
     def test_mirrored_rows_are_formatted_once(self, tmp_path, monkeypatch):
         """save_matrix formats only the first half of the rows of a matrix
-        whose rows mirror bit for bit: `ehd2d stationary` at 32^2 hands
-        _format_block 16 of the 32 rows of each of its three files. The
-        velocity snapshot ux of a vortex run does not mirror, and every
-        value of it is formatted."""
+        whose rows mirror bit for bit, and only the first half of each row
+        when every formatted row reads the same bits backwards: `ehd2d
+        stationary` at 32^2 hands _format_block 16 x 16 of the 32 x 32
+        values of each of its three files. The velocity snapshot ux of a
+        vortex run mirrors neither way, and every value of it is
+        formatted."""
         from ehd2d import cli, grid, sim
         formatted = []
         inner = grid._format_block
 
-        def recorded(x, seps):
+        def recorded(x):
             formatted.append(x.size)
-            return inner(x, seps)
+            return inner(x)
 
         monkeypatch.setattr(grid, "_format_block", recorded)
         assert cli.main(["stationary", "--quiet", "--preset", "relax-small-mass",
                          "--set", "grid.nx=32", "--set", "grid.ny=32",
                          "--out", str(tmp_path / "stat")]) == 0
-        assert sum(formatted) == 3 * 16 * 32
+        assert sum(formatted) == 3 * 16 * 16
 
         per_file = {}
 
@@ -440,6 +451,7 @@ class TestHookContract:
         assert shape == (16, 17) and count == 16 * 17
         ux = load_matrix(tmp_path / "run" / "snapshots" / "ux_000005.txt")
         assert not np.array_equal(ux, ux[::-1])
+        assert not np.array_equal(ux, ux[:, ::-1])
 
     def test_benchmark_entry_points_resolve(self):
         """Every name the benchmark's traced pass wraps exists and is

@@ -30,6 +30,7 @@ from ehd2d import (
 from ehd2d import stationary
 from ehd2d.errors import NonConvergence
 from ehd2d.grid import ROUNDING
+from ehd2d.poisson import _lap1d
 from ehd2d.stationary import export_stationary
 
 
@@ -121,15 +122,34 @@ NEWTON_CASES = ([(n, n, 4.0, 4.0, M, N) for n in (32, 64, 128) for M, N in NEWTO
                 + [LINE_SEARCH_CASE])
 
 
+def folded_laplacian(grid):
+    """Dirichlet Lap_h on fields even about both mid-lines, acting on the
+    lower-left quarter of cells (C order, j major), by scipy: per axis the
+    1-D operator times the mirror extension P (cell i of the full axis takes
+    quarter cell min(i, n - 1 - i)), restricted to the quarter's rows, and
+    the Kronecker sum of the two, as in poisson.laplacian_matrix."""
+    def folded(n, h):
+        m = stationary._mirror(n)
+        P = sp.csr_matrix((np.ones(n), (np.arange(n), m)))
+        return (_lap1d(n, h, "dirichlet") @ P)[: P.shape[1]]
+
+    return sp.kronsum(folded(grid.nx, grid.hx), folded(grid.ny, grid.hy), format="csr")
+
+
+def newton_matrix(grid, d):
+    """B_q = diag(d) - A_q as scipy forms it, the reference for
+    stationary._newton_matrix."""
+    return (sp.diags(d) - folded_laplacian(grid)).tocsc()
+
+
 def reference_solve(M, N, grid):
     """solve_pb's Newton loop as it was before each iterate was evaluated
     once: the Maxwellians from their own exponentials, J_of(phi) every
     iteration, logs from two more log-integrals, J with its own
     exponentials for every line-search trial, and the quarter directions
-    of _newton_direction. Returns phi, v, w, the residual and the
-    history."""
+    of _newton_direction with B_q formed by scipy (newton_matrix). Returns
+    phi, v, w, the residual and the history."""
     shape = (grid.ny, grid.nx)
-    Aq = stationary._folded_laplacian(grid)
     mult = stationary._multiplicity(shape)
     vol = grid.vol
     phi = np.zeros(shape)
@@ -155,9 +175,10 @@ def reference_solve(M, N, grid):
         if res <= ROUNDING * (norm_b * norm(phi) + norm(v) + norm(w)):
             history.append((res, 0.0, 0))
             return phi, v, w, res, history
-        quarter = (stationary._fold(a).ravel() for a in (v, w, R))
-        delta = stationary._unfold(stationary._newton_direction(Aq, mult, *quarter, M, N, vol),
-                                   shape)
+        v_q, w_q, R_q = (stationary._fold(a).ravel() for a in (v, w, R))
+        B = newton_matrix(grid, v_q + w_q)
+        delta = stationary._unfold(
+            stationary._newton_direction(B, mult, v_q, w_q, R_q, M, N, vol), shape)
         slope = -vol * float(np.vdot(R, delta))
         J0 = J_of(phi)
         logs = M * abs(log_int_exp(phi, vol)) + N * abs(log_int_exp(-phi, vol))
@@ -285,10 +306,10 @@ class TestExactNewton:
             ref = np.linalg.solve(jac, -R)
             v = M * np.exp(phi) / (vol * np.exp(phi).sum())
             w = N * np.exp(-phi) / (vol * np.exp(-phi).sum())
-            quarter = (stationary._fold(a.reshape(shape)).ravel() for a in (v, w, R))
+            v_q, w_q, R_q = (stationary._fold(a.reshape(shape)).ravel() for a in (v, w, R))
             delta_q = stationary._newton_direction(
-                stationary._folded_laplacian(g), stationary._multiplicity(shape),
-                *quarter, M, N, vol)
+                newton_matrix(g, v_q + w_q), stationary._multiplicity(shape),
+                v_q, w_q, R_q, M, N, vol)
             delta = stationary._unfold(delta_q, shape).ravel()
             rel = np.linalg.norm(delta - ref) / np.linalg.norm(ref)
             assert rel <= 1e-10, f"relative gap {rel:.3e} on {nx}x{ny}"
@@ -459,6 +480,36 @@ class TestOneEvaluationPerIterate:
         s = solve_pb(M, N, Grid2D(nx, ny, lx, ly))
         assert len(calls) == 1 + sum(1 + h for _, _, h in s.history[:-1])
         assert len(calls) == {NEWTON_CASES[4]: 6, HALVING_CASE: 9}[(nx, ny, lx, ly, M, N)]
+
+
+class TestNewtonMatrix:
+    """solve_pb assembles B_q once per solve, straight into CSC arrays, and
+    each iteration writes only its diagonal. The arrays equal those scipy
+    forms from the folded operator bit for bit, so the LU, phi and every
+    output do too."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(shape=st.one_of(st.tuples(st.integers(3, 40), st.integers(3, 40)),
+                           st.sampled_from([(8192, 3), (3, 8192), (255, 256)])),
+           log_lx=st.floats(-3.0, 3.0), log_ly=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # hx = 4/33: the wall diagonal -3 (1/h^2) is one ulp from -3/h^2 here
+    @example(shape=(33, 31), log_lx=np.log10(4.0), log_ly=np.log10(4.0), seed=0)
+    # hx^2 overflows, so 1/hx^2 = 0 and scipy keeps no x entries
+    @example(shape=(5, 4), log_lx=200.0, log_ly=0.0, seed=1)
+    def test_same_arrays_as_scipy(self, shape, log_lx, log_ly, seed):
+        g = Grid2D(*shape, 10.0 ** log_lx, 10.0 ** log_ly)
+        B, slots, diag = stationary._newton_matrix(g)
+        rng = np.random.default_rng(seed)
+        d = 10.0 ** rng.uniform(-8.0, 8.0, B.shape[0])  # v + w on the quarter
+        d[rng.random(d.size) < 0.1] = 0.0
+        B.data[slots] = d - diag
+        ref = newton_matrix(g, d)
+        assert B.shape == ref.shape
+        for got, want in ((B.indptr, ref.indptr), (B.indices, ref.indices),
+                          (B.data, ref.data)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestQuarterGrid:
