@@ -150,21 +150,31 @@ def ladyzhenskaya_ratio(u, grad_sq=None):
     The L2 and L4 norms are taken on the cell-centered speed interpolant so
     numerator and denominator sample the field the same way; the gradient
     norm is the wall-aware face-difference form (grad_norm_sq). Invariant
-    under u -> alpha*u by construction. A caller that already has
-    grad_norm_sq(u) passes it as grad_sq.
+    under u -> alpha*u by construction, which the norms keep at any finite
+    |u|: where |u|^4 overflows, the L4 norm is taken from the speed over its
+    maximum, and where |u|^2 or |grad u|^2 does, the ratio is taken of u
+    over its largest component. A caller that already has grad_norm_sq(u)
+    passes it as grad_sq.
     """
     if u.is_zero():
         raise ZeroField("Ladyzhenskaya ratio of a zero velocity field")
     g = u.grid
-    uxc = 0.5 * (u.ux[:, :-1] + u.ux[:, 1:])
-    uyc = 0.5 * (u.uy[:-1, :] + u.uy[1:, :])
-    speed2 = uxc * uxc + uyc * uyc
-    l2 = np.sqrt(g.vol * float(speed2.sum()))
+    with np.errstate(over="ignore"):
+        uxc = 0.5 * (u.ux[:, :-1] + u.ux[:, 1:])
+        uyc = 0.5 * (u.uy[:-1, :] + u.uy[1:, :])
+        speed2 = uxc * uxc + uyc * uyc
+        l2_sq = g.vol * float(speed2.sum())
+        if grad_sq is None:
+            grad_sq = grad_norm_sq(u)
+    if max(l2_sq, grad_sq) == np.inf:
+        # |u|^2 overflows past |u| ~ 1e154, and u over its largest component cannot
+        top = u.max_speed()
+        return ladyzhenskaya_ratio(MacVectorField(g, u.ux / top, u.uy / top))
+    l2 = np.sqrt(l2_sq)
     with np.errstate(over="ignore"):
         l4 = (g.vol * float((speed2 * speed2).sum())) ** 0.25
     if l4 == np.inf:  # |u|^4 overflows past |u| ~ 1e77; the ratio is scale-free
         top = float(speed2.max())
         scaled = speed2 / top
         l4 = (g.vol * float((scaled * scaled).sum())) ** 0.25 * np.sqrt(top)
-    gn = (grad_norm_sq(u) if grad_sq is None else grad_sq) ** 0.25
-    return float(l4 / (np.sqrt(l2) * gn))
+    return float(l4 / (np.sqrt(l2) * grad_sq ** 0.25))

@@ -324,7 +324,9 @@ def _scaled(a, k, tab):
 def _format_block(x):
     """'%.17g' % v for each v of the 1-D array x, as 30 bytes a value: row i
     of the returned (x.size, 30) uint8 array holds the text of x[i] among
-    NUL bytes, and its last byte, NUL, is left for the caller's separator."""
+    NUL bytes, and its last byte, NUL, is left for the caller's separator.
+    The array is the transpose of the template it was built in, not a copy,
+    so the caller's own copy does the transposing."""
     n = x.size
     a = np.abs(x)
     zero = a == 0.0
@@ -394,7 +396,7 @@ def _format_block(x):
     T[26] = (expo & (ae >= 100)) * (ord("0") + ae // 100).astype(np.uint8)
     T[27] = expo * (ord("0") + ae // 10 % 10).astype(np.uint8)
     T[28] = expo * (ord("0") + ae % 10).astype(np.uint8)
-    out = np.ascontiguousarray(T.T)
+    out = T.T
     for i in np.flatnonzero(fallback):
         text = ("%.17g" % x[i]).encode()
         out[i, :29] = 0
@@ -447,7 +449,7 @@ def save_matrix(path, data):
         rows = max(1, _BLOCK // width)
         seps = np.full((rows, ncol), ord(" "), np.uint8)
         seps[:, -1] = ord("\n")
-        lines = []
+        texts = []
         for r in range(0, shown, rows):
             block = data[r:min(r + rows, shown), :width]
             cells = _format_block(block.ravel()).reshape(len(block), width, 30)
@@ -457,8 +459,17 @@ def save_matrix(path, data):
             text = cells.tobytes().translate(None, b"\0")
             fh.write(text)
             if half:
-                lines += text.splitlines(keepends=True)
-        fh.writelines(reversed(lines[:half]))
+                texts.append(text)
+        if half:  # the first half lines again, last first, as one buffer
+            text = b"".join(texts)
+            view = memoryview(text)
+            end = len(text) if half == shown else text.rfind(b"\n", 0, -1) + 1
+            parts = []
+            for _ in range(half):
+                start = text.rfind(b"\n", 0, end - 1) + 1
+                parts.append(view[start:end])
+                end = start
+            fh.write(b"".join(parts))
 
 
 def load_matrix(path):

@@ -23,51 +23,62 @@ U = [sqrt(vol/M) v, sqrt(vol/N) w] (two columns),
 the sparse matrix B plus the rank-two term from the normalizing integrals.
 
 The mirrors x -> lx - x and y -> ly - y permute the cells and keep the
-Dirichlet closure, so they leave J unchanged; J being strictly convex, its
-unique minimizer is even about both mid-lines. At an even phi, v, w and R
-are even and the Hessian commutes with both mirrors, so the Newton
-direction is even too, and from phi = 0 every iterate stays even. The
-direction is therefore solved on the lower-left ceil(ny/2) x ceil(nx/2)
-quarter of the cells. Let P extend a quarter array to the grid by mirroring
-(cell i of an axis of n cells takes quarter cell min(i, n - 1 - i)) and S
-restrict to the quarter. Then delta = P delta_q, where
+Dirichlet closure, so they leave J unchanged; on a square grid (nx == ny
+and hx == hy) so does the diagonal reflection x <-> y, and the mirrors and
+the reflection generate all eight symmetries of the square. J being
+strictly convex, its unique minimizer is constant on each orbit of the
+cells under these symmetries. At such a phi, v, w and R are too and the
+Hessian commutes with every symmetry, so the Newton direction is constant
+on the orbits as well, and from phi = 0 every iterate stays so. The
+direction is therefore solved on one cell of each orbit, the fundamental
+cells (_Orbits): the lower-left ceil(ny/2) x ceil(nx/2) quarter, or on a
+square grid the eighth of it with j <= i, q (q + 1)/2 cells for
+q = ceil(n/2). A rectangular grid keeps the quarter; there is one fold,
+whose diagonal reflection is the identity off square grids. Let P extend
+a fundamental array to the grid (cell i of an axis of n cells takes
+quarter cell min(i, n - 1 - i), and quarter cell (j, i) takes fundamental
+cell (min(j, i), max(j, i)) on a square grid) and S restrict to the
+fundamental cells. Then delta = P delta_f, where
 
-    S (B - U U^T) P delta_q = S R,  that is  (B_q - U_q V^T) delta_q = R_q,
+    S (B - U U^T) P delta_f = S R,  that is  (B_f - U_f V^T) delta_f = R_f,
 
-with B_q = diag(v_q + w_q) - A_q, the folded Laplacian A_q = S Lap_h P (on
-an even axis the mid-line closes with ghost = interior; on an odd one the
-middle cell couples with weight 2 to its neighbour), U_q = S U and
-V = P^T U = mult U_q, where mult counts the cells each quarter cell stands
-for (4, 2 or 1). The Sherman-Morrison-Woodbury identity solves it with one
-sparse LU of B_q, one three-column solve B_q Z = [R_q, U_q] and the 2x2
+with B_f = diag(v_f + w_f) - A_f, the folded Laplacian A_f = S Lap_h P
+(on an even axis the mid-line closes with ghost = interior; on an odd one
+the middle cell couples with weight 2 to its neighbour; on the eighth the
+cells next to the diagonal couple with weight 2 to the diagonal cells),
+U_f = S U and V = P^T U = mult U_f, where mult counts the cells each
+fundamental cell stands for (up to 8). The Sherman-Morrison-Woodbury
+identity solves it with one sparse LU of B_f, one four-column solve
+B_f Z = [R_f, U_f, g] (g = -A_f 1, the wall terms) and the 2x2
 capacitance matrix C = I - V^T Z_U:
 
-    delta_q = Z_R + Z_U C^{-1} V^T Z_R.
+    delta_f = Z_R + Z_U C^{-1} V^T Z_R.
 
-R_q is the mean of R over each cell's orbit under the mirrors, so the
-rounding by which the computed R misses being even does not enter delta,
-and mirroring delta_q back keeps phi exactly even. The residual, the stop
-and the line search use every cell, so convergence is certified on the
-full grid, which no matrix is assembled for: R takes the five-point
-stencil.
+g keeps the diagonal of C from cancelling at large mass ratios
+(_newton_direction). R_f is the mean of R over each orbit, so the
+rounding by which the computed R misses the symmetries does not enter
+delta, and unfolding delta_f keeps phi exactly even and, on a square
+grid, equal to its transpose bit for bit. The residual, the stop and the
+line search use every cell, so convergence is certified on the full
+grid, which no matrix is assembled for: R takes the five-point stencil.
 
-B_q is assembled once per solve, straight into the CSC arrays that
+B_f is assembled once per solve, straight into the CSC arrays that
 SuperLU reads (_newton_matrix): five bands from the two folded 1-D
-operators, with the slot of each diagonal entry recorded. Each iteration
-only writes (v_q + w_q) - diag(A_q) into those slots; no sparse algebra
-runs per iteration. The arrays equal, bit for bit, those scipy forms from
-diag(v_q + w_q) - A_q, so the LU and every iterate are unchanged by
+operators, doubled or dropped next to the diagonal on the eighth, with
+the slot of each diagonal entry recorded. Each iteration only writes
+(v_f + w_f) - diag(A_f) into those slots; no sparse algebra runs per
+iteration. The arrays equal, bit for bit, those scipy forms from
+diag(v_f + w_f) - S Lap_h P, so the LU and every iterate are unchanged by
 assembling them directly.
 
-The LU of B_q is the only sparse factorization in the package. At 256^2
-its fill is a fifth of the full-grid LU's, and it takes about three
-quarters of the solve's time (55 of 72 ms, median of 15 solves, 2-vCPU
-Xeon, one BLAS thread). It keeps the minimum-degree ordering of
-B_q + B_q^T, so its fill is fixed, but takes SuperLU panels of 4 columns
-and relaxed supernodes of at most 6 (NEWTON_LU) in place of scipy's
-general-purpose 20 and 10. SuperLU's panel workspace grows as n times the
-panel width, and on this five-point matrix the wider panels and larger
-supernodes buy no speed.
+The LU of B_f is the only sparse factorization in the package. On the
+256^2 eighth its fill is 254 792 nonzeros in L + U, against 664 094 on
+the quarter and 3.4 M on the full grid, and it takes about two thirds of
+the solve's time (15 of 23 ms, median of 15 solves, 2-vCPU Xeon, one BLAS
+thread). It keeps the minimum-degree ordering of B_f + B_f^T, so its
+fill is fixed, but takes SuperLU panels of 4 columns and relaxed
+supernodes of at most 6 (NEWTON_LU) in place of scipy's general-purpose
+20 and 10, which are slower on this five-point matrix.
 
 J is strictly convex for every M, N > 0 (the log-integral terms are convex,
 the Dirichlet energy strictly so), so B - U U^T is symmetric positive
@@ -164,17 +175,18 @@ def functional_J(phi, M, N):
 
 # SuperLU options for the Newton LU (see the module docstring). Only the
 # supernode partition changes; the ordering, and so the fill, stay those of
-# MMD_AT_PLUS_A. One factorization of the folded B at phi = 0 for the
-# relax-small-mass masses (2-vCPU Xeon, OPENBLAS_NUM_THREADS=1; min of 3,
-# process peak RSS):
+# MMD_AT_PLUS_A. One factorization of the Newton matrix on the eighth of a
+# square grid at phi = 0 for relax-small-mass (M, N = 0.05, 0.1 over 4 x 4;
+# 2-vCPU Xeon, OPENBLAS_NUM_THREADS=1; min of 5 in one process, process
+# peak RSS):
 #
 #   grid    scipy default (20, 10)    (4, 6)             L + U nnz
-#   128^2     6 ms,  70.5 MB            5 ms,  69.0 MB      126 532
-#   256^2    34 ms,  82.5 MB           26 ms,  77.7 MB      664 094
-#   512^2   193 ms, 137.0 MB          151 ms, 117.9 MB    3 407 022
+#   128^2    2.4 ms,  68.0 MB          1.8 ms,  67.6 MB      49 050
+#   256^2   10.2 ms,  73.4 MB          8.2 ms,  73.6 MB     254 792
+#   512^2   61.3 ms,  98.2 MB         42.2 ms, 101.8 MB   1 237 908
 #
-# (2, 4) saves 2 MB more at 512^2 but is no faster; (8, 10) saves only
-# 12 MB there.
+# (2, 4) is within a few percent of (4, 6) and (8, 10) is slower. The
+# defaults peak up to 3.6 MB lower, at 512^2, but take 45 % longer there.
 NEWTON_LU = {"panel_size": 4, "relax": 6}
 
 
@@ -182,6 +194,47 @@ def _mirror(n):
     """Quarter index of each cell on an axis of n cells: i -> min(i, n - 1 - i)."""
     i = np.arange(n)
     return np.minimum(i, n - 1 - i)
+
+
+class _Orbits:
+    """The cells of the grid grouped by the symmetries of J, and the fold of
+    a cell array onto one cell of each group.
+
+    The fundamental cells are those of the lower-left ceil(ny/2) x
+    ceil(nx/2) quarter, or on a square grid (nx == ny, hx == hy) those of
+    the quarter with j <= i, in C order (j major); cells holds their flat
+    indices in the quarter. index holds the fundamental index of each
+    quarter cell, (j, i) and (i, j) sharing one on a square grid; mult
+    counts the cells of the grid each fundamental cell stands for.
+    """
+
+    __slots__ = ("shape", "square", "cells", "index", "mult")
+
+    def __init__(self, grid):
+        self.shape = (grid.ny, grid.nx)
+        self.square = grid.nx == grid.ny and grid.hx == grid.hy
+        counts = [np.bincount(_mirror(n)) for n in self.shape]  # cells per quarter cell, per axis
+        kept = np.ones((counts[0].size, counts[1].size), bool)
+        if self.square:
+            kept = np.triu(kept)
+        index = np.cumsum(kept, dtype=np.int32).reshape(kept.shape) - 1
+        self.cells = np.flatnonzero(kept)
+        self.index = np.where(kept, index, index.T) if self.square else index
+        self.mult = np.bincount(self.index.ravel(), np.outer(*counts).ravel())
+
+    def fold(self, x):
+        """Mean of the cell array x over each orbit, on the fundamental cells."""
+        qy, qx = self.index.shape
+        x = 0.5 * x[:qy] + 0.5 * x[::-1][:qy]
+        x = 0.5 * x[:, :qx] + 0.5 * x[:, ::-1][:, :qx]
+        if self.square:
+            x = 0.5 * x + 0.5 * x.T
+        return np.take(x, self.cells)
+
+    def unfold(self, x):
+        """The cell array constant on each orbit that equals x on the fundamental cells."""
+        ny, nx = self.shape
+        return np.take(np.take(x[self.index], _mirror(ny), axis=0), _mirror(nx), axis=1)
 
 
 def _folded_bands(n, h):
@@ -213,16 +266,23 @@ def _folded_bands(n, h):
     return diag, lower, upper
 
 
-def _newton_matrix(grid):
-    """B_q = diag(v_q + w_q) - A_q in CSC form, to be completed per iterate.
+def _newton_matrix(grid, orbits):
+    """B = diag(v + w) - A on the fundamental cells in CSC form, to be
+    completed per iterate.
 
-    A_q is the folded Dirichlet Lap_h on the lower-left quarter of cells
-    (C order, j major), the Kronecker sum of the two folded axes: column
-    (j, i) holds rows (j - 1, i), (j, i - 1), (j, i), (j, i + 1) and
-    (j + 1, i), in that order, where they exist. Returns (B, slots, diag):
-    B holds -A_q off the diagonal, and writing (v_q + w_q) - diag into
-    B.data[slots] completes it. The arrays are those of
-    (scipy.sparse.diags(v_q + w_q) - A_q).tocsc(), bit for bit; like
+    A = S Lap_h P is the Dirichlet Lap_h folded onto the fundamental cells
+    of orbits: P extends a fundamental array to the grid and S restricts to
+    the fundamental cells. On the quarter it is the Kronecker sum of the two
+    folded axes: column (j, i) holds rows (j - 1, i), (j, i - 1), (j, i),
+    (j, i + 1) and (j + 1, i), in that order, where they exist. On the
+    eighth (j <= i), column (j, i) also takes the column of its mirror
+    (i, j), which reaches the eighth only for i = j + 1, in rows (j, j) and
+    (j + 1, j + 1), doubling those two entries; on the diagonal the rows
+    (j, j - 1) and (j + 1, j) lie outside the eighth. Returns (B, slots,
+    diag, g): B holds -A off the diagonal, writing (v + w) - diag into
+    B.data[slots] completes it, and g = -A 1, the row sums, nonnegative
+    and nonzero only at the walls. The arrays are those of
+    (scipy.sparse.diags(v + w) - S Lap_h P).tocsc(), bit for bit; like
     scipy, they leave out the entries of an axis whose 1/h^2 is 0 (h^2
     overflows).
     """
@@ -230,55 +290,65 @@ def _newton_matrix(grid):
     dy, ly, uy = _folded_bands(grid.ny, grid.hy)
     qy, qx = dy.size, dx.size
     # entry (j, i, b) is band b of column (j, i): the value of B in row
-    # (j, i) + (-qx, -1, 0, 1, qx)[b]; a 0 marks no entry
+    # (j - 1, i), (j, i - 1), (j, i), (j, i + 1) or (j + 1, i) for b = 0..4;
+    # a 0 marks no entry
     bands = np.zeros((qy, qx, 5))
     bands[1:, :, 0] = -uy[:-1, None]
     bands[:, 1:, 1] = -ux[:-1]
     bands[:, :-1, 3] = -lx[1:]
     bands[:-1, :, 4] = -ly[1:, None]
+    if orbits.square:
+        k = np.arange(qx)
+        bands[k[:-1], k[1:], 1::3] *= 2.0
+        bands[k, k, 1::3] = 0.0
+    # the fundamental index of each band's row, -1 off the quarter
+    padded = np.full((qy + 2, qx + 2), -1, np.int32)
+    padded[1:-1, 1:-1] = orbits.index
+    rows = np.stack((padded[:-2, 1:-1], padded[1:-1, :-2], padded[1:-1, 1:-1],
+                     padded[1:-1, 2:], padded[2:, 1:-1]), axis=-1)
+    cells = orbits.cells
+    bands = np.take(bands.reshape(-1, 5), cells, axis=0).ravel()
     keep = bands != 0.0
-    keep[:, :, 2] = True
-    keep = keep.ravel()
-    q = qx * qy
-    rows = np.arange(q, dtype=np.int32)[:, None] + np.array([-qx, -1, 0, 1, qx], np.int32)
+    keep[2::5] = True
     end = np.cumsum(keep, dtype=np.int32)  # end[5 k + b]: entries up to band b of column k
     indptr = np.concatenate((np.zeros(1, np.int32), end[4::5]))
-    B = sp.csc_matrix((bands.ravel()[keep], rows.ravel()[keep], indptr), shape=(q, q))
-    slots = end[2::5] - 1
-    return B, slots, (dx + dy[:, None]).ravel()
+    q = indptr.size - 1
+    rows = np.take(rows.reshape(-1, 5), cells, axis=0).ravel()
+    B = sp.csc_matrix((bands[keep], rows[keep], indptr), shape=(q, q))
+    gx, gy = (-(d + l + u) for d, l, u in ((dx, lx, ux), (dy, ly, uy)))
+    return B, end[2::5] - 1, np.take(dx + dy[:, None], cells), np.take(gx + gy[:, None], cells)
 
 
-def _fold(x):
-    """Mean of a cell array over its orbit under both mirrors, on the lower-left quarter."""
-    x = (0.5 * x + 0.5 * x[::-1])[: (x.shape[0] + 1) // 2]
-    return (0.5 * x + 0.5 * x[:, ::-1])[:, : (x.shape[1] + 1) // 2]
+def _newton_direction(B, g, mult, v, w, R, M, N, vol):
+    """Exact Newton direction on the fundamental cells: solves
+    (B - U V^T) delta = R by Woodbury.
 
+    v, w and R are fundamental cell vectors, B = diag(v + w) - A in CSC
+    form with A the folded Lap_h, g = -A 1, U = [a v, b w] with
+    a = sqrt(vol/M), b = sqrt(vol/N), and V = mult U.
 
-def _unfold(xq, shape):
-    """The cell array of the given shape that is even about both mid-lines
-    and equals xq on the lower-left quarter."""
-    return xq.reshape((shape[0] + 1) // 2, (shape[1] + 1) // 2)[np.ix_(*map(_mirror, shape))]
-
-
-def _multiplicity(shape):
-    """Number of full-grid cells each lower-left quarter cell stands for: 4, 2 or 1."""
-    return np.outer(*(np.bincount(_mirror(n)) for n in shape)).ravel()
-
-
-def _newton_direction(B, mult, v, w, R, M, N, vol):
-    """Exact Newton direction on the quarter: solves (B - U V^T) delta = R
-    by Woodbury.
-
-    v, w and R are quarter cell vectors, B = diag(v + w) - A_q in CSC form
-    with A_q the folded Lap_h, U = [sqrt(vol/M) v, sqrt(vol/N) w] and
-    V = mult U. The LU of B lives only in this call, so it is freed before
-    the next iteration makes its own.
+    The diagonal of the capacitance C = I - V^T Z_U is 1 - W_00 with
+    W_00 = a^2 (mult v)^T B^-1 v; as v takes over B's diagonal (M >> N),
+    W_00 nears 1 and the difference loses every digit. Since B 1 =
+    v + w + g and a^2 mult^T v = 1 (v carries the mass M), it equals
+    a^2 (mult v)^T B^-1 (w + g), a sum of nonnegative terms, B being an
+    M-matrix: (a/b) W_01 + a V_0^T B^-1 g, with one more right-hand side g.
+    That form is taken where W_00 > 1/2; below, 1 - W_00 loses no digits
+    and is kept. Likewise for w. The LU of B lives only in this call, so it
+    is freed before the next iteration makes its own.
     """
-    U = np.column_stack((np.sqrt(vol / M) * v, np.sqrt(vol / N) * w))
+    a, b = np.sqrt(vol / M), np.sqrt(vol / N)
+    U = np.column_stack((a * v, b * w))
     V = mult[:, None] * U
-    Z = splu(B, permc_spec="MMD_AT_PLUS_A", **NEWTON_LU).solve(np.column_stack((R, U)))
-    Z_R, Z_U = Z[:, 0], Z[:, 1:]
-    C = np.eye(2) - V.T @ Z_U
+    Z = splu(B, permc_spec="MMD_AT_PLUS_A", **NEWTON_LU).solve(np.column_stack((R, U, g)))
+    Z_R, Z_U = Z[:, 0], Z[:, 1:3]
+    W = V.T @ Z_U
+    C = np.eye(2) - W
+    t = V.T @ Z[:, 3]
+    if W[0, 0] > 0.5:
+        C[0, 0] = (a / b) * W[0, 1] + a * t[0]
+    if W[1, 1] > 0.5:
+        C[1, 1] = (b / a) * W[1, 0] + b * t[1]
     try:
         return Z_R + Z_U @ np.linalg.solve(C, V.T @ Z_R)
     except np.linalg.LinAlgError:  # C singular from overflow: solve_pb reports no direction
@@ -292,15 +362,17 @@ def solve_pb(M, N, grid, max_iter=50):
     evaluating R leaves, grid.ROUNDING ((||Lap_h|| + max(v + w)) |phi| + |v|
     + |w|), where ||Lap_h|| + max(v + w) bounds the norm of the Newton matrix
     B. The stop scales with the data, so it holds at any mass and on any
-    grid. Each direction is solved on the lower-left quarter and mirrored,
-    so every iterate is exactly even about both mid-lines; the residual, the
-    stop and the line search see every cell.
+    grid. Each direction is solved on the fundamental cells (the lower-left
+    quarter, or the eighth of it with j <= i on a square grid) and
+    unfolded, so every iterate is exactly even about both mid-lines, and on
+    a square grid equal to its transpose; the residual, the stop and the
+    line search see every cell.
     """
     if M <= 0.0 or N <= 0.0:
         raise ValueError("masses must be positive")
     shape = (grid.ny, grid.nx)
-    B, slots, lap_diag = _newton_matrix(grid)
-    mult = _multiplicity(shape)
+    orbits = _Orbits(grid)
+    B, slots, lap_diag, g = _newton_matrix(grid, orbits)
     vol = grid.vol
     phi = np.zeros(shape)
     dens_v, dens_w, log_v, log_w = _maxwellians(phi, M, N, vol)
@@ -325,9 +397,9 @@ def solve_pb(M, N, grid, max_iter=50):
             break
         if k == max_iter:
             raise NonConvergence(k, res, "Poisson-Boltzmann Newton")
-        v_q, w_q, R_q = (_fold(a).ravel() for a in (dens_v, dens_w, R))
-        B.data[slots] = (v_q + w_q) - lap_diag
-        delta = _unfold(_newton_direction(B, mult, v_q, w_q, R_q, M, N, vol), shape)
+        v_f, w_f, R_f = (orbits.fold(a) for a in (dens_v, dens_w, R))
+        B.data[slots] = (v_f + w_f) - lap_diag
+        delta = orbits.unfold(_newton_direction(B, g, orbits.mult, v_f, w_f, R_f, M, N, vol))
         slope = -vol * float(np.vdot(R, delta))
         if not (np.isfinite(delta).all() and slope < 0.0):
             what = f"Poisson-Boltzmann Newton (no descent direction at iteration {k + 1})"

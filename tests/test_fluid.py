@@ -255,6 +255,17 @@ class TestLadyzhenskayaRatio:
         assert np.isfinite(ratios[1])
         assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
 
+    def test_ratio_past_squares_overflow(self):
+        """Past |u| ~ 1.3e154 the squares of u overflow too, and the ratio
+        was nan with eleven warnings; it is now taken of u over its largest
+        component, so amplitude 1e155 has the ratio of amplitude 1."""
+        g = Grid2D(8, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratios = [ladyzhenskaya_ratio(_stream_velocity(g, amp)) for amp in (1.0, 1e155)]
+        assert np.isfinite(ratios[1])
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
+
     def test_below_interpolation_bound(self):
         """The continuum inequality has constant 1; discrete fields at 64^2
         and finer must stay below 1.05."""

@@ -358,14 +358,22 @@ class TestHookContract:
         assert len(newton) == s.iterations
         assert poisson_lu == []
 
-    def test_solve_pb_assembles_the_newton_matrix_once(self, monkeypatch):
-        """B_q is assembled once per solve; each Newton iteration only
+    @pytest.mark.parametrize("n, lx, ly", [((23, 19), 3.0, 2.0), ((24, 24), 3.0, 3.0)])
+    def test_solve_pb_assembles_the_newton_matrix_once(self, monkeypatch, n, lx, ly):
+        """B is assembled once per solve, on the quarter of a rectangular
+        grid or the eighth of a square one; each Newton iteration only
         writes its diagonal before the factorization."""
         from ehd2d import Grid2D, stationary
         assembled = _record_calls(monkeypatch, stationary, "_newton_matrix")
-        s = solve_pb(0.05, 0.1, Grid2D(23, 19, 3.0, 2.0))
+        newton = _record_calls(monkeypatch, stationary, "splu")
+        g = Grid2D(*n, lx, ly)
+        s = solve_pb(0.05, 0.1, g)
         assert s.iterations >= 2
-        assert len(assembled) == 1
+        assert len(assembled) == 1 and assembled[0][0] is g
+        assert assembled[0][1].square == (lx == ly)
+        q = 12 * 13 // 2 if lx == ly else 12 * 10
+        assert len(newton) == s.iterations
+        assert all(args[0].shape == (q, q) for args in newton)
 
     def test_cfl_run_makes_no_viscous_factorization(self, tmp_path, monkeypatch):
         """A CFL-limited run sets a new dt each step; the viscous step, the

@@ -4,8 +4,9 @@ The solver minimizes a strictly convex functional, so beyond the residual
 contract we can test global properties: the solution is the unique
 minimizer from any start, symmetric masses pin the potential at zero, and
 the potential amplitude vanishes with the total mass. solve_pb solves its
-Newton directions on a quarter of the grid; full_grid_solve below is the
-Newton on every cell that it replaced, kept here as the reference.
+Newton directions on a quarter of the grid, or an eighth of a square one;
+full_grid_solve below is the Newton on every cell that it replaced, kept
+here as the reference.
 """
 
 import numpy as np
@@ -136,23 +137,47 @@ def folded_laplacian(grid):
     return sp.kronsum(folded(grid.nx, grid.hx), folded(grid.ny, grid.hy), format="csr")
 
 
+def is_square(grid):
+    """Whether the diagonal reflection x <-> y maps the grid to itself."""
+    return grid.nx == grid.ny and grid.hx == grid.hy
+
+
+def eighth(grid):
+    """(S, P) on a square grid: P extends an array on the eighth of cells
+    (j <= i of the lower-left quarter, C order, as np.triu_indices lists
+    them) to the quarter, quarter cell (j, i) taking eighth cell
+    (min(j, i), max(j, i)), and S restricts a quarter array to the eighth."""
+    q = (grid.nx + 1) // 2
+    j, i = np.triu_indices(q)
+    fundamental = np.zeros((q, q), int)
+    fundamental[j, i] = fundamental[i, j] = np.arange(j.size)
+    P = sp.csr_matrix((np.ones(q * q), (np.arange(q * q), fundamental.ravel())))
+    S = sp.csr_matrix((np.ones(j.size), (np.arange(j.size), j * q + i)), shape=(j.size, q * q))
+    return S, P
+
+
 def newton_matrix(grid, d):
-    """B_q = diag(d) - A_q as scipy forms it, the reference for
-    stationary._newton_matrix."""
-    return (sp.diags(d) - folded_laplacian(grid)).tocsc()
+    """B = diag(d) - A on the fundamental cells as scipy forms it, the
+    reference for stationary._newton_matrix: on the quarter,
+    (diag(d) - A_q).tocsc(); on a square grid, S (diag(P d) - A_q) P on the
+    eighth."""
+    if not is_square(grid):
+        return (sp.diags(d) - folded_laplacian(grid)).tocsc()
+    S, P = eighth(grid)
+    return (S @ (sp.diags(P @ d) - folded_laplacian(grid)) @ P).tocsc()
 
 
 def reference_solve(M, N, grid):
     """solve_pb's Newton loop as it was before each iterate was evaluated
     once: the Maxwellians from their own exponentials, J_of(phi) every
     iteration, logs from two more log-integrals, J with its own
-    exponentials for every line-search trial, and the quarter directions
-    of _newton_direction with B_q formed by scipy (newton_matrix). Returns
-    phi, v, w, the residual and the history."""
-    shape = (grid.ny, grid.nx)
-    mult = stationary._multiplicity(shape)
+    exponentials for every line-search trial, and the directions of
+    _newton_direction on the fundamental cells with B formed by scipy
+    (newton_matrix). Returns phi, v, w, the residual and the history."""
+    orbits = stationary._Orbits(grid)
+    g = stationary._newton_matrix(grid, orbits)[3]
     vol = grid.vol
-    phi = np.zeros(shape)
+    phi = np.zeros((grid.ny, grid.nx))
 
     def maxwellian(z, mass):
         e = np.exp(z - float(z.max()))
@@ -175,10 +200,10 @@ def reference_solve(M, N, grid):
         if res <= ROUNDING * (norm_b * norm(phi) + norm(v) + norm(w)):
             history.append((res, 0.0, 0))
             return phi, v, w, res, history
-        v_q, w_q, R_q = (stationary._fold(a).ravel() for a in (v, w, R))
-        B = newton_matrix(grid, v_q + w_q)
-        delta = stationary._unfold(
-            stationary._newton_direction(B, mult, v_q, w_q, R_q, M, N, vol), shape)
+        v_f, w_f, R_f = (orbits.fold(a) for a in (v, w, R))
+        B = newton_matrix(grid, v_f + w_f)
+        delta = orbits.unfold(
+            stationary._newton_direction(B, g, orbits.mult, v_f, w_f, R_f, M, N, vol))
         slope = -vol * float(np.vdot(R, delta))
         J0 = J_of(phi)
         logs = M * abs(log_int_exp(phi, vol)) + N * abs(log_int_exp(-phi, vol))
@@ -281,19 +306,23 @@ class TestExactNewton:
         assert s.iterations <= 6, f"{s.iterations} iterations at M={M}, N={N}, {n}^2"
 
     def test_direction_matches_dense_exact_jacobian(self):
-        """At a random potential even about both mid-lines, the direction
-        solved on the quarter and mirrored equals the dense solve with the
-        Jacobian of R on the full grid, taken column by column by
-        complex-step differentiation. The grids cover odd and even cell
-        counts on each axis."""
+        """At a random potential constant on the orbits of the grid's
+        symmetries, the direction solved on the fundamental cells and
+        unfolded equals the dense solve with the Jacobian of R on the full
+        grid, taken column by column by complex-step differentiation. The
+        grids cover odd and even cell counts on each axis, and square grids,
+        folded onto an eighth, beside rectangular ones."""
         M, N = 2.0, 3.0
         rng = np.random.default_rng(3)
-        for nx, ny in ((6, 5), (5, 6), (7, 7), (6, 6), (3, 4)):
-            g = Grid2D(nx, ny, 1.3, 0.7)
+        for nx, ny, lx, ly in ((6, 5, 1.3, 0.7), (5, 6, 1.3, 0.7), (7, 7, 1.3, 0.7),
+                               (6, 6, 1.3, 0.7), (3, 4, 1.3, 0.7), (7, 7, 1.3, 1.3),
+                               (6, 6, 0.7, 0.7), (3, 3, 1.0, 1.0)):
+            g = Grid2D(nx, ny, lx, ly)
             vol, shape = g.vol, (ny, nx)
+            orbits = stationary._Orbits(g)
+            assert orbits.square == (nx == ny and lx == ly)
             A = laplacian_matrix(g, "dirichlet")
-            phi_q = rng.standard_normal(((ny + 1) // 2, (nx + 1) // 2))
-            phi = stationary._unfold(phi_q, shape).ravel()
+            phi = orbits.unfold(rng.standard_normal(orbits.mult.size)).ravel()
 
             def residual(z):
                 ep, em = np.exp(z), np.exp(-z)
@@ -306,11 +335,11 @@ class TestExactNewton:
             ref = np.linalg.solve(jac, -R)
             v = M * np.exp(phi) / (vol * np.exp(phi).sum())
             w = N * np.exp(-phi) / (vol * np.exp(-phi).sum())
-            v_q, w_q, R_q = (stationary._fold(a.reshape(shape)).ravel() for a in (v, w, R))
-            delta_q = stationary._newton_direction(
-                newton_matrix(g, v_q + w_q), stationary._multiplicity(shape),
-                v_q, w_q, R_q, M, N, vol)
-            delta = stationary._unfold(delta_q, shape).ravel()
+            v_f, w_f, R_f = (orbits.fold(a.reshape(shape)) for a in (v, w, R))
+            g_f = stationary._newton_matrix(g, orbits)[3]
+            delta_f = stationary._newton_direction(
+                newton_matrix(g, v_f + w_f), g_f, orbits.mult, v_f, w_f, R_f, M, N, vol)
+            delta = orbits.unfold(delta_f).ravel()
             rel = np.linalg.norm(delta - ref) / np.linalg.norm(ref)
             assert rel <= 1e-10, f"relative gap {rel:.3e} on {nx}x{ny}"
             # the rank-two Hessian term is not negligible here
@@ -332,6 +361,23 @@ class TestExactNewton:
         assert len(res) >= 3
         for before, after in zip(res[-3:], res[-2:]):
             assert after <= max(before * before, 1e-12), f"residuals {res}"
+
+    def test_converges_at_huge_mass_ratios(self):
+        """M = 10^0, 10^4, ..., 10^296 with N = 0.1 on 8^2. The diagonal of
+        the Woodbury capacitance, 1 - (vol/M) (mult v)^T B^-1 v, once lost
+        every digit as v took over B's diagonal, and 21 of these 75 solves,
+        from M = 1e20 to 1e152, found no descent direction. Past M = 1e152
+        the grid-L2 norms of the stop overflow, so only up to there is the
+        residual checked."""
+        g = Grid2D(8, 8, 4.0, 4.0)
+        for k in range(75):
+            M = 10.0 ** (4 * k)
+            s = solve_pb(M, 0.1, g)
+            if M > 1e152:
+                continue
+            assert np.isfinite(s.residual) and s.residual <= newton_bound(s), f"M = {M:g}"
+            assert integrate(s.v) == pytest.approx(M, rel=1e-13)
+            assert integrate(s.w) == pytest.approx(0.1, rel=1e-13)
 
     def test_non_finite_direction_raises(self, monkeypatch):
         class NanLU:
@@ -393,7 +439,7 @@ class TestRoundingStop:
         assert s.residual <= newton_bound(s)
         assert integrate(s.v) == pytest.approx(M, rel=1e-13)
         assert integrate(s.w) == pytest.approx(N, rel=1e-13)
-        # every direction is mirrored from the quarter, so phi is exactly even
+        # every direction is unfolded from its orbits, so phi is exactly even
         assert np.array_equal(s.phi.data, s.phi.data[::-1])
         assert np.array_equal(s.phi.data, s.phi.data[:, ::-1])
 
@@ -410,8 +456,8 @@ class TestRoundingStop:
 
 class TestNewtonLU:
     """The Newton LU takes SuperLU panels of 4 columns and supernodes of at
-    most 6 (stationary.NEWTON_LU), which lowers the peak memory of the
-    solve; no test can see that memory, so the first test pins the options.
+    most 6 (stationary.NEWTON_LU), which makes it faster; no test can see
+    that time, so the first test pins the options.
     The ordering is unchanged and only the supernode partition differs from
     scipy's defaults, so every solve takes the same Newton steps and returns
     the same state to rounding."""
@@ -483,25 +529,31 @@ class TestOneEvaluationPerIterate:
 
 
 class TestNewtonMatrix:
-    """solve_pb assembles B_q once per solve, straight into CSC arrays, and
+    """solve_pb assembles B once per solve, straight into CSC arrays, and
     each iteration writes only its diagonal. The arrays equal those scipy
     forms from the folded operator bit for bit, so the LU, phi and every
-    output do too."""
+    output do too: on the quarter, diag(d) - A_q; on a square grid, where
+    the fold reaches the eighth, S (diag(P d) - A_q) P."""
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(shape=st.one_of(st.tuples(st.integers(3, 40), st.integers(3, 40)),
-                           st.sampled_from([(8192, 3), (3, 8192), (255, 256)])),
-           log_lx=st.floats(-3.0, 3.0), log_ly=st.floats(-3.0, 3.0),
+                           st.integers(3, 40).map(lambda n: (n, n)),
+                           st.sampled_from([(8192, 3), (3, 8192), (255, 256), (256, 256)])),
+           log_lx=st.floats(-3.0, 3.0), log_ly=st.one_of(st.none(), st.floats(-3.0, 3.0)),
            seed=st.integers(0, 2 ** 32 - 1))
     # hx = 4/33: the wall diagonal -3 (1/h^2) is one ulp from -3/h^2 here
     @example(shape=(33, 31), log_lx=np.log10(4.0), log_ly=np.log10(4.0), seed=0)
+    @example(shape=(33, 33), log_lx=np.log10(4.0), log_ly=None, seed=0)
     # hx^2 overflows, so 1/hx^2 = 0 and scipy keeps no x entries
     @example(shape=(5, 4), log_lx=200.0, log_ly=0.0, seed=1)
     def test_same_arrays_as_scipy(self, shape, log_lx, log_ly, seed):
-        g = Grid2D(*shape, 10.0 ** log_lx, 10.0 ** log_ly)
-        B, slots, diag = stationary._newton_matrix(g)
+        """log_ly None draws a square domain, so a square shape gives a
+        square grid."""
+        lx = 10.0 ** log_lx
+        g = Grid2D(*shape, lx, lx if log_ly is None else 10.0 ** log_ly)
+        B, slots, diag, rowsum = stationary._newton_matrix(g, stationary._Orbits(g))
         rng = np.random.default_rng(seed)
-        d = 10.0 ** rng.uniform(-8.0, 8.0, B.shape[0])  # v + w on the quarter
+        d = 10.0 ** rng.uniform(-8.0, 8.0, B.shape[0])  # v + w on the fundamental cells
         d[rng.random(d.size) < 0.1] = 0.0
         B.data[slots] = d - diag
         ref = newton_matrix(g, d)
@@ -510,16 +562,25 @@ class TestNewtonMatrix:
                           (B.data, ref.data)):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+        # the row sums -A 1, nonnegative and nonzero only at the walls
+        A1 = newton_matrix(g, np.zeros(B.shape[0])) @ np.ones(B.shape[0])
+        assert np.allclose(rowsum, A1, rtol=1e-14, atol=1e-14 * np.abs(A1).max())
+        assert (rowsum >= 0.0).all()
 
 
 class TestQuarterGrid:
-    """J is strictly convex and unchanged by both mirrors, so its minimizer
-    is even about both mid-lines, and solve_pb factors each Newton matrix
-    on the lower-left quarter only. No test sees time or memory; the size
-    test is what keeps the factorization at a quarter."""
+    """J is strictly convex and unchanged by both mirrors, and on a square
+    grid by the diagonal reflection too, so its minimizer is constant on
+    the orbits of those symmetries, and solve_pb factors each Newton matrix
+    on the lower-left quarter only, or on a square grid on the eighth of it
+    with j <= i. No test sees time or memory; the size test is what keeps
+    the factorization at a quarter or an eighth."""
 
-    @pytest.mark.parametrize("nx, ny", [(6, 5), (7, 7), (8192, 3)])
-    def test_factors_a_quarter_size_matrix(self, monkeypatch, nx, ny):
+    @pytest.mark.parametrize("nx, ny, ly", [(6, 5, 4.0), (7, 7, 4.0), (8192, 3, 4.0),
+                                            (6, 6, 4.0), (7, 7, 3.0)])
+    def test_factors_a_quarter_size_matrix(self, monkeypatch, nx, ny, ly):
+        """A quarter of the cells, ceil(nx/2) ceil(ny/2), or on a square
+        grid the eighth, q (q + 1) / 2 with q = ceil(n/2)."""
         shapes = []
 
         def recording(B, *args, **kwargs):
@@ -527,10 +588,57 @@ class TestQuarterGrid:
             return splu(B, *args, **kwargs)
 
         monkeypatch.setattr(stationary, "splu", recording)
-        s = solve_pb(5.0, 10.0, Grid2D(nx, ny, 4.0, 4.0))
+        g = Grid2D(nx, ny, 4.0, ly)
+        s = solve_pb(5.0, 10.0, g)
         assert s.iterations >= 1
-        q = ((nx + 1) // 2) * ((ny + 1) // 2)
+        qx, qy = (nx + 1) // 2, (ny + 1) // 2
+        q = qx * (qx + 1) // 2 if is_square(g) else qx * qy
         assert shapes == [(q, q)] * s.iterations
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(shape=st.one_of(st.integers(3, 40).map(lambda n: (n, n)), GRID_SHAPES),
+           log_lx=st.floats(-1.0, 1.0), log_ly=st.one_of(st.none(), st.floats(-1.0, 1.0)),
+           log_m=st.floats(-3.0, 6.0), log_n=st.floats(-3.0, 6.0))
+    @example(shape=(256, 256), log_lx=0.0, log_ly=None, log_m=np.log10(0.05),
+             log_n=np.log10(0.1))
+    @example(shape=(33, 31), log_lx=np.log10(4.0), log_ly=np.log10(4.0),
+             log_m=np.log10(1000.0), log_n=np.log10(1500.0))
+    def test_fields_keep_the_symmetries_bit_for_bit(self, shape, log_lx, log_ly, log_m, log_n):
+        """phi, v and w are exactly even about both mid-lines, and on a
+        square grid (log_ly None with a square shape) each equals its own
+        transpose bit for bit."""
+        lx = 10.0 ** log_lx
+        g = Grid2D(*shape, lx, lx if log_ly is None else 10.0 ** log_ly)
+        s = solve_pb(10.0 ** log_m, 10.0 ** log_n, g)
+        for f in (s.phi.data, s.v.data, s.w.data):
+            assert f.tobytes() == f[::-1].tobytes()
+            assert f.tobytes() == f[:, ::-1].tobytes()
+            if is_square(g):
+                assert f.tobytes() == f.T.tobytes()
+
+    @pytest.mark.parametrize("nx, ny, lx, ly", [(6, 5, 1.0, 1.0), (7, 7, 1.0, 1.0),
+                                                (8, 8, 2.0, 2.0), (8, 8, 2.0, 1.0),
+                                                (3, 3, 1.0, 1.0), (9, 4, 1.0, 1.0)])
+    def test_fold_is_the_orbit_mean(self, nx, ny, lx, ly):
+        """fold takes the mean of any cell array over each orbit, P^T x /
+        mult, with P from the mirrors and, on a square grid, the diagonal
+        reflection (eighth); unfold extends a fundamental array by those
+        symmetries, and folding it back returns it bit for bit."""
+        g = Grid2D(nx, ny, lx, ly)
+        orbits = stationary._Orbits(g)
+        rng = np.random.default_rng(nx * ny)
+        x = rng.standard_normal((ny, nx))
+        mirror = [sp.csr_matrix((np.ones(n), (np.arange(n), stationary._mirror(n))))
+                  for n in (ny, nx)]
+        P = sp.kron(mirror[0], mirror[1])  # the quarter extended to the grid
+        if is_square(g):
+            P = P @ eighth(g)[1]
+        assert np.allclose(orbits.fold(x), (P.T @ x.ravel()) / orbits.mult, rtol=1e-14, atol=0)
+        assert np.array_equal(orbits.mult, P.T @ np.ones(nx * ny))
+        y = rng.standard_normal(orbits.mult.size)
+        full = orbits.unfold(y)
+        assert np.array_equal(full.ravel(), P @ y)
+        assert orbits.fold(full).tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("nx, ny, lx, ly, M, N", NEWTON_CASES)
     def test_same_solve_as_full_grid(self, nx, ny, lx, ly, M, N):
