@@ -183,6 +183,10 @@ class SimConfig:
         self._validate()
 
     def _validate(self):
+        """ConfigError naming the first key out of range. A mass m is out of
+        range when a density carrying it could have a squared grid norm that
+        overflows: such a density peaks at m/vol, so (2m/vol)^2 and
+        vol (2m/vol)^2 must be finite, a margin of 2 for v + w and v - w."""
         if self.dt <= 0.0:
             raise ConfigError("time.dt must be positive")
         if not math.isfinite(1.0 / self.dt):
@@ -201,6 +205,11 @@ class SimConfig:
             self.grid = Grid2D(self.nx, self.ny, self.lx, self.ly)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        for key, mass in (("M", self.M), ("N", self.N)):
+            peak = 2.0 * mass / self.grid.vol  # Python floats overflow to inf, no warning
+            if not math.isfinite(peak * peak * max(self.grid.vol, 1.0)):
+                raise ConfigError(f"initial.{key} = {mass!r} is too large for this grid: a "
+                                  "density carrying it could have a squared norm that overflows")
 
 
 def _parse(section, key, raw):
@@ -378,23 +387,20 @@ def _check_representable(config, state):
     initial state overflow.
 
     The energy report squares every field it measures, so a config whose
-    initial densities, potential or velocity have no finite squared grid-L2
-    or H1 norm cannot be measured; such runs printed pages of overflow
-    warnings and most ended in a SolverError with residual inf or nan.
-    Measured on 8^2 grids: near-equilibrium (4 x 4, N = 0.1) is rejected
-    from M of about 2.5e154, where |v|^2 overflows (runs failed from about
-    2.2e155); vortex-charge is rejected from amplitude 4.8e151, where
+    initial potential or velocity has no finite squared H1 or grid-L2 norm
+    cannot be measured; such runs printed pages of overflow warnings and
+    most ended in a SolverError with residual inf or nan. The densities
+    need no entry here: they are nonnegative and carry the configured
+    masses (files to MASS_RTOL), so no cell holds more than its mass over
+    vol, and SimConfig._validate has bounded twice that. Measured on 8^2
+    grids: vortex-charge is rejected from amplitude 4.8e151, where
     |grad u|^2 overflows (|u|^2 follows at 4.9e152, and runs failed from
     1.85e152).
     """
-    g = state.grid
-    mass_v, mass_w = (("initial.v_file", "initial.w_file") if config.v_file
-                      else (f"initial.M = {config.M!r}", f"initial.N = {config.N!r}"))
     with np.errstate(over="ignore", invalid="ignore"):
         sizes = (
-            (mass_v, "density v", g.vol * float(np.vdot(state.v.data, state.v.data))),
-            (mass_w, "density w", g.vol * float(np.vdot(state.w.data, state.w.data))),
-            (f"{mass_v} with {mass_w}", "potential", h1_seminorm(state.phi)),
+            (f"initial.M = {config.M!r} with initial.N = {config.N!r}", "potential",
+             h1_seminorm(state.phi)),
             (f"initial.amplitude = {config.amplitude!r}", "velocity",
              kinetic_energy(state.u) + grad_norm_sq(state.u)),
         )

@@ -54,7 +54,8 @@ capacitance matrix C = I - V^T Z_U:
 
     delta_f = Z_R + Z_U C^{-1} V^T Z_R.
 
-g keeps the diagonal of C from cancelling at large mass ratios
+With g, C's diagonal and determinant are sums of nonnegative terms at any
+masses, so det C > 0 and C^{-1} is its adjugate over det C
 (_newton_direction). R_f is the mean of R over each orbit, so the
 rounding by which the computed R misses the symmetries does not enter
 delta, and unfolding delta_f keeps phi exactly even and, on a square
@@ -325,34 +326,29 @@ def _newton_direction(B, g, mult, v, w, R, M, N, vol):
 
     v, w and R are fundamental cell vectors, B = diag(v + w) - A in CSC
     form with A the folded Lap_h, g = -A 1, U = [a v, b w] with
-    a = sqrt(vol/M), b = sqrt(vol/N), and V = mult U.
+    a = sqrt(vol/M), b = sqrt(vol/N), V = mult U, and Z = B^-1 [R, U, g].
+    As B 1 = v + w + g and a^2 mult^T v = 1 (v carries the mass M), the
+    capacitance C = I - W, W = V^T Z_U, has C_00 = (a/b) W_01 + a t_0 and
+    C_11 = (b/a) W_10 + b t_1 with t = V^T Z_g, and
 
-    The diagonal of the capacitance C = I - V^T Z_U is 1 - W_00 with
-    W_00 = a^2 (mult v)^T B^-1 v; as v takes over B's diagonal (M >> N),
-    W_00 nears 1 and the difference loses every digit. Since B 1 =
-    v + w + g and a^2 mult^T v = 1 (v carries the mass M), it equals
-    a^2 (mult v)^T B^-1 (w + g), a sum of nonnegative terms, B being an
-    M-matrix: (a/b) W_01 + a V_0^T B^-1 g, with one more right-hand side g.
-    That form is taken where W_00 > 1/2; below, 1 - W_00 loses no digits
-    and is kept. Likewise for w. The LU of B lives only in this call, so it
-    is freed before the next iteration makes its own.
+        det C = a W_01 t_1 + b W_10 t_0 + a b t_0 t_1,
+
+    all sums of nonnegative terms (B is an M-matrix), so nothing cancels at
+    any mass. C^-1 is the adjugate over det C. A det of 0 or inf, or an a or
+    b that overflows (vol/M past the double range), gives a direction that
+    is not finite and no warning, which solve_pb reports. The LU of B lives
+    only in this call, so it is freed before the next iteration makes its own.
     """
-    a, b = np.sqrt(vol / M), np.sqrt(vol / N)
-    U = np.column_stack((a * v, b * w))
-    V = mult[:, None] * U
-    Z = splu(B, permc_spec="MMD_AT_PLUS_A", **NEWTON_LU).solve(np.column_stack((R, U, g)))
-    Z_R, Z_U = Z[:, 0], Z[:, 1:3]
-    W = V.T @ Z_U
-    C = np.eye(2) - W
-    t = V.T @ Z[:, 3]
-    if W[0, 0] > 0.5:
-        C[0, 0] = (a / b) * W[0, 1] + a * t[0]
-    if W[1, 1] > 0.5:
-        C[1, 1] = (b / a) * W[1, 0] + b * t[1]
-    try:
-        return Z_R + Z_U @ np.linalg.solve(C, V.T @ Z_R)
-    except np.linalg.LinAlgError:  # C singular from overflow: solve_pb reports no direction
-        return np.full_like(R, np.nan)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a, b = np.sqrt(vol / M), np.sqrt(vol / N)
+        U = np.column_stack((a * v, b * w))
+        V = mult[:, None] * U
+        Z = splu(B, permc_spec="MMD_AT_PLUS_A", **NEWTON_LU).solve(np.column_stack((R, U, g)))
+        (y0, _, w01, t0), (y1, w10, _, t1) = V.T @ Z  # V^T Z_R, W and t
+        c00, c11 = (a / b) * w01 + a * t0, (b / a) * w10 + b * t1
+        det = a * w01 * t1 + b * w10 * t0 + a * b * t0 * t1
+        x = np.array((c11 * y0 + w01 * y1, w10 * y0 + c00 * y1)) / det
+        return Z[:, 0] + Z[:, 1:3] @ x
 
 
 def solve_pb(M, N, grid, max_iter=50):
@@ -362,7 +358,8 @@ def solve_pb(M, N, grid, max_iter=50):
     evaluating R leaves, grid.ROUNDING ((||Lap_h|| + max(v + w)) |phi| + |v|
     + |w|), where ||Lap_h|| + max(v + w) bounds the norm of the Newton matrix
     B. The stop scales with the data, so it holds at any mass and on any
-    grid. Each direction is solved on the fundamental cells (the lower-left
+    grid; a residual or bound that overflows is a NonConvergence, never a
+    stop. Each direction is solved on the fundamental cells (the lower-left
     quarter, or the eighth of it with j <= i on a square grid) and
     unfolded, so every iterate is exactly even about both mid-lines, and on
     a square grid equal to its transpose; the residual, the stop and the
@@ -384,15 +381,18 @@ def solve_pb(M, N, grid, max_iter=50):
         maxwellians = _maxwellians(arr, M, N, vol)
         return _functional(field, M, N, *maxwellians[2:]), maxwellians
 
-    def norm(arr):
-        return float(np.sqrt(vol * np.vdot(arr, arr)))
+    def norm(arr):  # a Python product, which overflows to inf without a warning
+        return float(np.sqrt(vol * float(np.vdot(arr, arr))))
 
     history = []
     for k in range(max_iter + 1):
         R = _stencil(phi, grid, "dirichlet") - dens_v + dens_w
         res = norm(R)
         norm_b = grid.lap_norm + float((dens_v + dens_w).max())
-        if res <= ROUNDING * (norm_b * norm(phi) + norm(dens_v) + norm(dens_w)):
+        bound = ROUNDING * (norm_b * norm(phi) + norm(dens_v) + norm(dens_w))
+        if not (np.isfinite(res) and np.isfinite(bound)):
+            raise NonConvergence(k, res, "Poisson-Boltzmann Newton (residual or bound overflows)")
+        if res <= bound:
             history.append((res, 0.0, 0))
             break
         if k == max_iter:

@@ -40,19 +40,25 @@ class TestExitCodes:
         (["--preset", "near-equilibrium", "--set", "initial.M=1e300"], "initial.M = 1e+300"),
         (["--preset", "vortex-charge", "--set", "initial.amplitude=1e307",
           "--set", "time.t_max=0.01"], "initial.amplitude = 1e+307"),
+        (["--preset", "relax-small-mass", "--set", "initial.M=1e200"], "initial.M = 1e+200"),
     ])
     def test_overflowing_value_names_its_key(self, tmp_path, capsys, command, argv, key):
         """Values whose initial state has no finite squared norm on the grid
         were solver errors after a page of overflow warnings; they are
-        config errors naming the key, with no RuntimeWarning."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = cli.main([command, "--quiet", *argv, "--set", "grid.nx=8",
-                             "--set", "grid.ny=8", "--out", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"config error: {key} is too large"), err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        config errors naming the key, with no RuntimeWarning and no output.
+        The stationary command reads the masses too, so it takes the mass
+        cases as well: at M = 1e200 it printed "converged in 0 iterations,
+        residual inf", wrote an all-zero phi_inf.txt and exited 0."""
+        for cmd in [command] + (["stationary"] if key.startswith("initial.M") else []):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main([cmd, "--quiet", *argv, "--set", "grid.nx=8",
+                                 "--set", "grid.ny=8", "--out", str(tmp_path / "out")])
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"config error: {key} is too large"), err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert not (tmp_path / "out").exists()
 
     def test_config_error_maps_to_one(self, tmp_path, capsys):
         percent = tmp_path / "percent.cfg"
@@ -508,6 +514,34 @@ class TestAnyFiniteConfig:
             assert len(lines) == 1 and lines[0].startswith("solver error:"), lines
         else:
             assert lines == []
+
+
+class TestAnyFiniteStationary:
+    """The stationary command over the same command lines: it ends with an
+    exit code and at most one error line, and a solution it writes is
+    finite, with a finite residual."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(argv=command_lines())
+    def test_exit_code_and_finite_solution(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            outdir = os.path.join(tmp, "o")
+            code = cli.main(["stationary", "--quiet", *argv, "--out", outdir])
+            if code == 0:
+                meta = dict(line.split(" = ") for line in
+                            open(os.path.join(outdir, "metadata.txt")).read().splitlines())
+                phi = load_matrix(os.path.join(outdir, "phi_inf.txt"))
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2), lines
+        if code == 0:
+            assert lines == []
+            assert np.isfinite(float(meta["residual"]))
+            assert np.isfinite(phi).all()
+        else:
+            prefix = "config error:" if code == 1 else "solver error:"
+            assert len(lines) == 1 and lines[0].startswith(prefix), lines
 
 
 class TestEntryPoint:

@@ -241,8 +241,8 @@ class TestLadyzhenskayaRatio:
         assert r1 == pytest.approx(r2, rel=1e-12)
 
     def test_huge_amplitude_keeps_the_ratio(self):
-        """|u|^4 overflows past |u| ~ 1e77; the L4 norm is then taken from
-        the speed scaled by its maximum, so the 8^2 vortex-charge state at
+        """|u|^4 overflows past |u| ~ 1e77; the ratio is then taken of u
+        over its largest component, so the 8^2 vortex-charge state at
         amplitude 1e78 has the ratio of amplitude 1, and no warning."""
         ratios = []
         for amp in (1.0, 1e78):

@@ -28,8 +28,8 @@ from ehd2d import (
     solve_pb,
     stationary_pressure_check,
 )
-from ehd2d import stationary
-from ehd2d.errors import NonConvergence
+from ehd2d import load_config, stationary
+from ehd2d.errors import ConfigError, NonConvergence
 from ehd2d.grid import ROUNDING
 from ehd2d.poisson import _lap1d
 from ehd2d.stationary import export_stationary
@@ -47,6 +47,16 @@ def newton_bound(s):
 
     norm_b = 4.0 / g.hx ** 2 + 4.0 / g.hy ** 2 + float((v + w).max())
     return ROUNDING * (norm_b * norm(phi) + norm(v) + norm(w))
+
+
+def config_takes(M, N, n):
+    """Whether a config takes the masses M and N on the n^2 grid over 4 x 4."""
+    try:
+        load_config(preset="relax-small-mass", overrides=[
+            f"grid.nx={n}", f"grid.ny={n}", f"initial.M={M!r}", f"initial.N={N!r}"])
+    except ConfigError:
+        return False
+    return True
 
 
 def full_grid_direction(A, v, w, R, M, N, vol):
@@ -366,18 +376,40 @@ class TestExactNewton:
         """M = 10^0, 10^4, ..., 10^296 with N = 0.1 on 8^2. The diagonal of
         the Woodbury capacitance, 1 - (vol/M) (mult v)^T B^-1 v, once lost
         every digit as v took over B's diagonal, and 21 of these 75 solves,
-        from M = 1e20 to 1e152, found no descent direction. Past M = 1e152
-        the grid-L2 norms of the stop overflow, so only up to there is the
-        residual checked."""
+        from M = 1e20 to 1e152, found no descent direction. Every mass a
+        config takes converges. Past that bound the grid-L2 norms of the stop
+        overflow, and the solve, which once stopped at iteration 0 with
+        residual inf and phi = 0, raises."""
         g = Grid2D(8, 8, 4.0, 4.0)
+        taken = 0
         for k in range(75):
             M = 10.0 ** (4 * k)
-            s = solve_pb(M, 0.1, g)
-            if M > 1e152:
+            if not config_takes(M, 0.1, 8):
+                with pytest.raises(NonConvergence, match="residual or bound overflows"):
+                    solve_pb(M, 0.1, g)
                 continue
+            taken += 1
+            s = solve_pb(M, 0.1, g)
             assert np.isfinite(s.residual) and s.residual <= newton_bound(s), f"M = {M:g}"
             assert integrate(s.v) == pytest.approx(M, rel=1e-13)
             assert integrate(s.w) == pytest.approx(0.1, rel=1e-13)
+        assert taken == 39  # up to M = 1e152
+
+    def test_converges_when_both_masses_are_huge(self):
+        """M = 10^0, 10^4, ... with N = 2M on 8^2, up to the masses a config
+        takes. 7 of these 39 solves, (1e88, 2e88) among them, found no
+        descent direction: with both masses huge, det C = C_00 C_11 -
+        C_01 C_10 was a difference of two products that cancelled. It is now
+        a sum of nonnegative terms."""
+        g = Grid2D(8, 8, 4.0, 4.0)
+        masses = [(10.0 ** (4 * k), 2.0 * 10.0 ** (4 * k)) for k in range(75)]
+        masses = [(M, N) for M, N in masses if config_takes(M, N, 8)]
+        assert len(masses) == 39 and (1e88, 2e88) in masses  # up to M = 1e152
+        for M, N in masses:
+            s = solve_pb(M, N, g)
+            assert np.isfinite(s.residual) and s.residual <= newton_bound(s), f"M = {M:g}"
+            assert integrate(s.v) == pytest.approx(M, rel=1e-13)
+            assert integrate(s.w) == pytest.approx(N, rel=1e-13)
 
     def test_non_finite_direction_raises(self, monkeypatch):
         class NanLU:
