@@ -32,7 +32,6 @@ import numpy as np
 from .errors import EmptyWindow, NonConvergence, NonpositiveValues
 from .grid import (
     ScalarField,
-    _dirichlet_h1,
     grad_norm_sq,
     h1_seminorm,
     integrate,
@@ -333,9 +332,9 @@ def energy_report(state, s):
         raise NonpositiveValues(_NONPOSITIVE_R)
     entropy_v = vol * _psi_sum(v, 1.0)
     entropy_w = vol * _psi_sum(w, 1.0)
-    electric = 0.5 * _dirichlet_h1(state.phi.data, g)
+    electric = 0.5 * h1_seminorm(state.phi)
     kin = kinetic_energy(state.u)
-    h1 = _dirichlet_h1(state.phi.data - s.phi.data, g)
+    h1 = h1_seminorm(ScalarField(g, state.phi.data - s.phi.data))
     dv = v - v_inf
     dw = w - w_inf
     l1v = float(np.abs(dv).sum())

@@ -110,11 +110,6 @@ class ScalarField:
     def full(cls, grid, value):
         return cls(grid, np.full((grid.ny, grid.nx), float(value)))
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        X, Y = grid.cell_centers()
-        return cls(grid, fn(X, Y))
-
     def copy(self):
         return ScalarField(self.grid, self.data.copy())
 
@@ -219,13 +214,9 @@ def h1_seminorm(f):
     full weight, the wall faces (2 f / h) at half weight, which makes the
     result agree exactly with the quadratic form -<f, Lap_h f> * hx * hy of
     the Dirichlet Laplacian; the energy bookkeeping in the diagnostics module
-    relies on that exact agreement.
+    relies on that exact agreement. The face gradients are taken in place.
     """
-    return _dirichlet_h1(f.data, f.grid)
-
-
-def _dirichlet_h1(d, g):
-    """h1_seminorm of the cell array d, with the face gradients taken in place."""
+    d, g = f.data, f.grid
     s = float((((d[:, 1:] - d[:, :-1]) / g.hx) ** 2).sum()
               + (((d[1:, :] - d[:-1, :]) / g.hy) ** 2).sum())
     s += 0.5 * float(((2.0 * d[:, 0] / g.hx) ** 2).sum() + ((2.0 * d[:, -1] / g.hx) ** 2).sum())
@@ -263,17 +254,6 @@ def grad_norm_sq(u):
     s += 0.5 * float(((2.0 * uy[:, 0] / hx) ** 2).sum())
     s += 0.5 * float(((2.0 * uy[:, -1] / hx) ** 2).sum())
     return g.vol * s
-
-
-def face_inner(a, b):
-    """Face-quadrature inner product of two MAC fields."""
-    g = a.grid
-    return g.vol * float((a.ux * b.ux).sum() + (a.uy * b.uy).sum())
-
-
-def cell_inner(f, q):
-    """Midpoint inner product of two cell fields."""
-    return f.grid.vol * float((f.data * q.data).sum())
 
 
 # ---------------------------------------------------------------------------

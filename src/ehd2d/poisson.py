@@ -141,7 +141,8 @@ def apply_dirichlet_laplacian(f):
 
 
 def _grid_l2(grid, r):
-    return float(np.sqrt(grid.vol * np.vdot(r, r)))
+    """sqrt(vol sum(r^2)); the product is a Python one, which overflows to inf without a warning."""
+    return float(np.sqrt(grid.vol * float(np.vdot(r, r))))
 
 
 def residual(x, rhs, boundary="dirichlet"):

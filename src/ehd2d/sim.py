@@ -184,9 +184,13 @@ class SimConfig:
 
     def _validate(self):
         """ConfigError naming the first key out of range. A mass m is out of
-        range when a density carrying it could have a squared grid norm that
-        overflows: such a density peaks at m/vol, so (2m/vol)^2 and
-        vol (2m/vol)^2 must be finite, a margin of 2 for v + w and v - w."""
+        range when a density carrying it, or its potential, could have a grid
+        norm that overflows. The density peaks at m/vol, so (2m/vol)^2 max(vol, 1)
+        must be finite (a margin of 2 for v + w and v - w). (-Lap_h)^-1 >= 0 has
+        entries at most hx lx/4 and hy ly/4 (the discrete maximum principle), so
+        |phi| <= m min(lx/hy, ly/hx)/4, and solve_pb's stop multiplies phi's norm
+        by ||Lap_h|| + (M + N)/vol. vol/m must be finite, or the Newton direction
+        of solve_pb is not (its Woodbury scale is sqrt(vol/m))."""
         if self.dt <= 0.0:
             raise ConfigError("time.dt must be positive")
         if not math.isfinite(1.0 / self.dt):
@@ -202,14 +206,19 @@ class SimConfig:
         if self.snapshot_every < 0:
             raise ConfigError("output.snapshot_every must be nonnegative")
         try:
-            self.grid = Grid2D(self.nx, self.ny, self.lx, self.ly)
+            self.grid = g = Grid2D(self.nx, self.ny, self.lx, self.ly)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        norm_b = g.lap_norm + (self.M + self.N) / g.vol  # Python floats overflow to inf, no warning
         for key, mass in (("M", self.M), ("N", self.N)):
-            peak = 2.0 * mass / self.grid.vol  # Python floats overflow to inf, no warning
-            if not math.isfinite(peak * peak * max(self.grid.vol, 1.0)):
+            peak, phi = 2.0 * mass / g.vol, mass * min(g.lx / g.hy, g.ly / g.hx) / 4.0
+            stop = norm_b * math.sqrt(phi * phi * g.nx * g.ny * max(g.vol, 1.0))
+            if not math.isfinite(peak * peak * max(g.vol, 1.0) + stop):
                 raise ConfigError(f"initial.{key} = {mass!r} is too large for this grid: a "
-                                  "density carrying it could have a squared norm that overflows")
+                                  "density carrying it, or its potential, could overflow a norm")
+            if not math.isfinite(g.vol / mass):
+                raise ConfigError(f"initial.{key} = {mass!r} is too small for this grid: "
+                                  "the cell volume over it overflows")
 
 
 def _parse(section, key, raw):

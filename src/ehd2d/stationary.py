@@ -105,9 +105,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import LineSearchStall, NonConvergence
-from .fluid import body_force
-from .grid import ROUNDING, ScalarField, grad_to_faces, h1_seminorm, save_matrix
-from .poisson import _stencil, apply_dirichlet_laplacian
+from .grid import ROUNDING, ScalarField, h1_seminorm, save_matrix
+from .poisson import _grid_l2, _stencil, apply_dirichlet_laplacian
 
 
 def _shifted_exp(z, vol):
@@ -164,14 +163,6 @@ class StationarySolution:
     @property
     def grid(self):
         return self.phi.grid
-
-
-def functional_J(phi, M, N):
-    """The convex functional; gradient term uses the Dirichlet ghost closure."""
-    if M <= 0.0 or N <= 0.0:
-        raise ValueError("masses must be positive")
-    _, _, log_v, log_w = _maxwellians(phi.data, M, N, phi.grid.vol)
-    return _functional(phi, M, N, log_v, log_w)
 
 
 # SuperLU options for the Newton LU (see the module docstring). Only the
@@ -381,15 +372,12 @@ def solve_pb(M, N, grid, max_iter=50):
         maxwellians = _maxwellians(arr, M, N, vol)
         return _functional(field, M, N, *maxwellians[2:]), maxwellians
 
-    def norm(arr):  # a Python product, which overflows to inf without a warning
-        return float(np.sqrt(vol * float(np.vdot(arr, arr))))
-
     history = []
     for k in range(max_iter + 1):
         R = _stencil(phi, grid, "dirichlet") - dens_v + dens_w
-        res = norm(R)
+        res, norm_phi, norm_v, norm_w = (_grid_l2(grid, a) for a in (R, phi, dens_v, dens_w))
         norm_b = grid.lap_norm + float((dens_v + dens_w).max())
-        bound = ROUNDING * (norm_b * norm(phi) + norm(dens_v) + norm(dens_w))
+        bound = ROUNDING * (norm_b * norm_phi + norm_v + norm_w)
         if not (np.isfinite(res) and np.isfinite(bound)):
             raise NonConvergence(k, res, "Poisson-Boltzmann Newton (residual or bound overflows)")
         if res <= bound:
@@ -444,27 +432,11 @@ def sinh_form_check(s):
     solution.
     """
     phi = s.phi.data
-    vol = s.grid.vol
-    _, _, log_ip, log_im = _maxwellians(phi, s.M, s.N, vol)
+    _, _, log_ip, log_im = _maxwellians(phi, s.M, s.N, s.grid.vol)
     alpha2 = 2.0 * np.exp(0.5 * (np.log(s.M) + np.log(s.N) - log_ip - log_im))
     beta = 0.5 * (np.log(s.N) + log_ip - np.log(s.M) - log_im)
     r = apply_dirichlet_laplacian(s.phi).data - alpha2 * np.sinh(phi - beta)
-    return float(np.sqrt(vol * (r * r).sum()))
-
-
-def stationary_pressure_check(s):
-    """Interior-face norm of (v - w) grad phi - grad (v + w): the fluid's body
-    force less the pressure gradient of p = v + w.
-
-    At the stationary state the electric force is exactly a pressure
-    gradient with p = v + w; on the grid the identity holds to O(h^2), which
-    the refinement tests measure.
-    """
-    f = body_force(s.v, s.w, s.phi)
-    p = grad_to_faces(ScalarField(s.grid, s.v.data + s.w.data))
-    rx = f.ux[:, 1:-1] - p.ux[:, 1:-1]
-    ry = f.uy[1:-1, :] - p.uy[1:-1, :]
-    return float(np.sqrt(s.grid.vol * (float((rx * rx).sum()) + float((ry * ry).sum()))))
+    return _grid_l2(s.grid, r)
 
 
 def export_stationary(s, outdir):

@@ -82,14 +82,6 @@ def bernoulli_pair(x):
             np.where(neg, b_plus, b_minus).reshape(shape))
 
 
-def bernoulli(x):
-    """B(x) = x/(e^x - 1) with the removable singularity filled in (bernoulli_pair)."""
-    out = bernoulli_pair(x)[0]
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def _sweep_bands(phi, u, direction):
     """Generators L_x or L_y of both species across the faces of one orientation.
 

@@ -60,6 +60,30 @@ class TestExitCodes:
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--set", "grid.nx=3", "--set", "grid.ny=3", "--set", "grid.lx=1000",
+          "--set", "grid.ly=1000", "--set", "initial.M=1e153", "--set", "initial.N=2e153"],
+         "initial.M = 1e+153 is too large for this grid"),
+        (["--preset", "vortex-charge", "--set", "grid.nx=8", "--set", "grid.ny=5",
+          "--set", "grid.lx=1.6537301355357626e+144", "--set", "initial.M=3.37386563221791e-293"],
+         "initial.M = 3.37386563221791e-293 is too small for this grid"),
+    ])
+    def test_mass_the_grid_cannot_carry(self, tmp_path, capsys, argv, message):
+        """Masses that passed the density bound but not the Newton solve,
+        which exited 2: on 333 x 333 cells the potential of M = 1e153
+        overflowed the stop ("residual or bound overflows"), and M = 3.4e-293
+        on cells of 2e143 x 0.2 made sqrt(vol/M) overflow ("no descent
+        direction"). Every command rejects them before any solve."""
+        for command in ("run", "check", "stationary"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main([command, "--quiet", *argv, "--out", str(tmp_path / "out")])
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"config error: {message}"), err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert not (tmp_path / "out").exists()
+
     def test_config_error_maps_to_one(self, tmp_path, capsys):
         percent = tmp_path / "percent.cfg"
         percent.write_text("[grid]\nnx = 8%x\n")

@@ -19,14 +19,14 @@ from ehd2d import (
     Grid2D,
     ScalarField,
     apply_dirichlet_laplacian,
-    functional_J,
+    body_force,
+    grad_to_faces,
     h1_seminorm,
     integrate,
     laplacian_matrix,
     lp_norm,
     sinh_form_check,
     solve_pb,
-    stationary_pressure_check,
 )
 from ehd2d import load_config, stationary
 from ehd2d.errors import ConfigError, NonConvergence
@@ -49,11 +49,29 @@ def newton_bound(s):
     return ROUNDING * (norm_b * norm(phi) + norm(v) + norm(w))
 
 
-def config_takes(M, N, n):
-    """Whether a config takes the masses M and N on the n^2 grid over 4 x 4."""
+def functional_J(phi, M, N):
+    """J at the ScalarField phi, evaluated as solve_pb evaluates its iterates."""
+    _, _, log_v, log_w = stationary._maxwellians(phi.data, M, N, phi.grid.vol)
+    return stationary._functional(phi, M, N, log_v, log_w)
+
+
+def stationary_pressure_check(s):
+    """Interior-face grid-L2 norm of (v - w) grad phi - grad (v + w): the
+    fluid's body force less the pressure gradient of p = v + w, which
+    vanishes at the stationary state up to O(h^2)."""
+    f = body_force(s.v, s.w, s.phi)
+    p = grad_to_faces(ScalarField(s.grid, s.v.data + s.w.data))
+    rx = f.ux[:, 1:-1] - p.ux[:, 1:-1]
+    ry = f.uy[1:-1, :] - p.uy[1:-1, :]
+    return float(np.sqrt(s.grid.vol * (float((rx * rx).sum()) + float((ry * ry).sum()))))
+
+
+def config_takes(M, N, n, box=4.0):
+    """Whether a config takes the masses M and N on the n^2 grid over box x box."""
     try:
         load_config(preset="relax-small-mass", overrides=[
-            f"grid.nx={n}", f"grid.ny={n}", f"initial.M={M!r}", f"initial.N={N!r}"])
+            f"grid.nx={n}", f"grid.ny={n}", f"grid.lx={box!r}", f"grid.ly={box!r}",
+            f"initial.M={M!r}", f"initial.N={N!r}"])
     except ConfigError:
         return False
     return True
@@ -419,6 +437,67 @@ class TestExactNewton:
         monkeypatch.setattr(stationary, "splu", lambda *args, **kwargs: NanLU())
         with pytest.raises(NonConvergence, match="no descent direction at iteration 1"):
             solve_pb(0.05, 0.1, Grid2D(16, 16))
+
+
+class TestMassBounds:
+    """The masses SimConfig takes are those the Newton solve can carry: the
+    potential bound it checks holds, and at either end of the range it takes
+    the solve converges."""
+
+    @pytest.mark.parametrize("nx, ny, lx, ly", [
+        (3, 3, 1.0, 1.0), (8, 5, 3.0, 1.0), (9, 9, 1000.0, 1000.0), (16, 7, 1.0, 4.0)])
+    def test_green_function_entries(self, nx, ny, lx, ly):
+        """(-Lap_h)^-1 is nonnegative (the discrete maximum principle) and
+        its entries are at most min(hx lx, hy ly)/4, the 1-D Green's function
+        h x (l - x)/l at mid-span, which odd axes attain."""
+        g = Grid2D(nx, ny, lx, ly)
+        G = np.linalg.inv(-laplacian_matrix(g).toarray())
+        cap = min(g.hx * g.lx, g.hy * g.ly) / 4.0
+        assert G.min() >= 0.0
+        assert G.max() <= cap * (1.0 + 1e-12), (G.max(), cap)
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(shape=st.tuples(st.integers(3, 24), st.integers(3, 24)),
+           box=st.tuples(st.floats(0.1, 100.0), st.floats(0.1, 100.0)),
+           masses=st.tuples(st.floats(-3.0, 4.0), st.floats(-3.0, 4.0)))
+    def test_potential_within_the_maximum_principle_bound(self, shape, box, masses):
+        """|phi| <= max(M, N) min(lx/hy, ly/hx)/4 at the solution, the bound
+        SimConfig._validate takes: phi = (-Lap_h)^-1 (w - v) with v, w >= 0
+        carrying M and N."""
+        g = Grid2D(*shape, *box)
+        M, N = (10.0 ** e for e in masses)
+        s = solve_pb(M, N, g)
+        assert np.abs(s.phi.data).max() <= max(M, N) * min(g.lx / g.hy, g.ly / g.hx) / 4.0
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_every_large_mass_taken_on_large_cells_converges(self, n):
+        """On n^2 cells over 1000 x 1000 the potential of masses near 1e153
+        overflowed the Newton stop's norms ("residual or bound overflows"),
+        though the density bound took them. Every mass 10^(k/4) with N = 2M
+        that a config takes now converges, up to a bound of 8.9e150 on 3^2
+        and 3.4e150 on 8^2."""
+        g = Grid2D(n, n, 1000.0, 1000.0)
+        taken = [10.0 ** (k / 4.0) for k in range(560, 640)
+                 if config_takes(10.0 ** (k / 4.0), 2.0 * 10.0 ** (k / 4.0), n, 1000.0)]
+        assert 20 < len(taken) < 80
+        for M in taken:
+            s = solve_pb(M, 2.0 * M, g)
+            assert np.isfinite(s.residual) and s.residual <= newton_bound(s), f"M = {M:g}"
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_smallest_mass_taken_converges(self, n):
+        """A config takes a mass m while vol/m is finite. Below that the
+        Woodbury scale sqrt(vol/m) of the Newton direction overflowed, and
+        the solve found no descent direction; just above it the solve
+        converges with exact masses."""
+        g = Grid2D(n, n, 4.0, 4.0)
+        edge = g.vol / float(np.finfo(float).max)
+        assert not config_takes(0.9999 * edge, 0.1, n)
+        for M in (1.0001 * edge, 2.0 * edge):
+            assert config_takes(M, 0.1, n)
+            s = solve_pb(M, 0.1, g)
+            assert np.isfinite(s.residual) and s.residual <= newton_bound(s)
+            assert integrate(s.v) == pytest.approx(M, rel=1e-13)
 
 
 # square-ish grids from 3x3 to 32x32, and thin ones up to 1:64 either way

@@ -23,7 +23,6 @@ from ehd2d import (
     Grid2D,
     MacVectorField,
     ScalarField,
-    bernoulli,
     div_from_faces,
     integrate,
     laplacian_matrix,
@@ -39,30 +38,30 @@ from ehd2d.transport import ANION_SIGN, CATION_SIGN, bernoulli_pair
 class TestBernoulli:
     def test_reference_value(self):
         """B(1) = 1/(e-1), frozen independently."""
-        assert bernoulli(1.0) == pytest.approx(0.5819767068693265, abs=1e-15)
+        assert bernoulli_pair(1.0)[0] == pytest.approx(0.5819767068693265, abs=1e-15)
 
     def test_value_at_zero(self):
-        assert bernoulli(0.0) == 1.0
+        assert bernoulli_pair(0.0)[0] == 1.0
 
     def test_shift_identity(self):
         """B(x) - B(-x) = -x, the identity behind flux antisymmetry."""
         for x in (0.5, 2.0, 10.0, 30.0):
-            got = bernoulli(x) - bernoulli(-x)
+            got = bernoulli_pair(x)[0] - bernoulli_pair(-x)[0]
             assert got == pytest.approx(-x, rel=1e-13), f"x={x}: {got}"
 
     def test_tiny_argument_series(self):
         x = 1e-12
-        assert bernoulli(x) == pytest.approx(1.0 - x / 2, abs=1e-15)
+        assert bernoulli_pair(x)[0] == pytest.approx(1.0 - x / 2, abs=1e-15)
 
     def test_no_overflow_at_large_arguments(self):
-        big = bernoulli(-750.0)
-        small = bernoulli(750.0)
+        big = bernoulli_pair(-750.0)[0]
+        small = bernoulli_pair(750.0)[0]
         assert np.isfinite(big) and big == pytest.approx(750.0, rel=1e-12)
         assert np.isfinite(small) and 0.0 <= small < 1e-300
 
     def test_vectorized(self):
         x = np.array([-2.0, 0.0, 2.0])
-        out = bernoulli(x)
+        out = bernoulli_pair(x)[0]
         assert out.shape == (3,)
         assert out[1] == 1.0
 
@@ -308,8 +307,8 @@ def face_by_face_generator(phi, u, sign):
               for j in range(g.ny - 1) for i in range(g.nx)]
     L = np.zeros((g.nx * g.ny, g.nx * g.ny))
     for left, right, dpsi, uf, h in faces:
-        weights = ((left, bernoulli(sign * dpsi) / h + max(uf, 0.0)),
-                   (right, -bernoulli(-sign * dpsi) / h - max(-uf, 0.0)))
+        weights = ((left, bernoulli_pair(sign * dpsi)[0] / h + max(uf, 0.0)),
+                   (right, -bernoulli_pair(-sign * dpsi)[0] / h - max(-uf, 0.0)))
         for cell, weight in weights:
             L[left, cell] -= weight / h
             L[right, cell] += weight / h
@@ -540,14 +539,11 @@ class TestSharedBands:
     def test_step_matches_per_species_bands_with_one_pair_per_direction(self, case):
         """Both species read their bands from one B(dpsi), B(-dpsi) pair per
         face: the step is bit for bit the per-species formula with the
-        three-branch B, and takes one bernoulli_pair per direction and no
-        single bernoulli."""
+        three-branch B, and takes one bernoulli_pair per direction."""
         g, v, w, phi, u, dt = case
-        with mock.patch.object(transport, "bernoulli_pair", wraps=bernoulli_pair) as pair, \
-                mock.patch.object(transport, "bernoulli", wraps=transport.bernoulli) as single:
+        with mock.patch.object(transport, "bernoulli_pair", wraps=bernoulli_pair) as pair:
             got = step_charges(v, w, phi, u, dt)
         assert pair.call_count == 2
-        assert single.call_count == 0
         for c, sign, out in ((v, CATION_SIGN, got[0]), (w, ANION_SIGN, got[1])):
             cx = transport._sweep(c.data, *reference_bands(phi, u, sign, "x"), dt)
             ref = transport._sweep(cx.T, *reference_bands(phi, u, sign, "y"), dt).T
@@ -566,4 +562,4 @@ class TestSharedBands:
         want = reference_bernoulli(arr), reference_bernoulli(-arr)
         for b_got, b_want in zip(got, want):
             assert b_got.tobytes() == b_want.tobytes(), f"x={x!r}: {b_got[0]!r} != {b_want[0]!r}"
-        assert np.float64(bernoulli(x)).tobytes() == want[0].tobytes()
+        assert np.float64(bernoulli_pair(x)[0]).tobytes() == want[0].tobytes()
