@@ -19,11 +19,10 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .grid import ScalarField, div_from_faces, integrate, lp_norm
+from .grid import div_from_faces, integrate, lp_norm
 from . import sim
 from .diagnostics import ck_constant, energy_report
 from .fluid import projection_bound
-from .poisson import residual
 from .stationary import export_stationary, sinh_form_check, solve_pb
 
 EXIT_OK = 0
@@ -130,8 +129,6 @@ def _cmd_check(args):
            abs(mv - config.M) <= sim.MASS_RTOL * config.M
            and abs(mw - config.N) <= sim.MASS_RTOL * config.N,
            f"masses {mv!r}, {mw!r}")
-    report("initial charges nonnegative",
-           state.v.data.min() >= 0.0 and state.w.data.min() >= 0.0)
     try:
         state.u.assert_no_slip(0.0)
         report("velocity boundary faces zero", True)
@@ -140,9 +137,6 @@ def _cmd_check(args):
     div0 = lp_norm(div_from_faces(state.u), np.inf)
     report("initial velocity divergence-free", div0 <= projection_bound(state.u, state.p),
            f"max div {div0:.3e}")
-    res, bound = residual(state.phi, ScalarField(g, state.v.data - state.w.data))
-    report("potential solves the charge Poisson equation", res <= bound,
-           f"residual {res:.3e}")
 
     prod = rep0.production
     report("entropy production nonnegative", prod >= 0.0, f"production {prod:.3e}")
@@ -152,10 +146,6 @@ def _cmd_check(args):
     report("Csiszar-Kullback inequality",
            lhs <= c * rhs * (1.0 + 1e-6) + slack,
            f"lhs {lhs:.6e} vs {c:.6g}*rhs {c * rhs:.6e}")
-    e2, lin = rep0.E2, rep0.L
-    report("quadratic error norm equals twice the linearized energy",
-           abs(e2 - 2.0 * lin) <= 1e-10 * (1.0 + abs(e2)),
-           f"E2 {e2!r} vs 2L {2.0 * lin!r}")
 
     smv = integrate(equilibrium.v)
     report("stationary masses exact",

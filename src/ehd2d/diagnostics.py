@@ -313,6 +313,7 @@ class EnergyReport:
     lady_ratio: float
 
 
+@np.errstate(over="ignore")  # a field past the double range reads inf
 def energy_report(state, s):
     """Evaluate every recorded functional of the state against equilibrium s.
 

@@ -94,6 +94,7 @@ def _advect(u):
     return adv_x, adv_y
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a velocity past the double range fails its checks
 def step_velocity(u, f, dt):
     """One projection step of the velocity u under the face force f.
 
@@ -150,23 +151,24 @@ def ladyzhenskaya_ratio(u, grad_sq=None):
     The L2 and L4 norms are taken on the cell-centered speed interpolant so
     numerator and denominator sample the field the same way; the gradient
     norm is the wall-aware face-difference form (grad_norm_sq). Invariant
-    under u -> alpha*u by construction, which the norms keep at any finite
-    |u|: where |u|^2, |grad u|^2 or |u|^4 overflows (|u|^4 from |u| ~ 1e77),
-    the ratio is taken of u over its largest component. A caller that
-    already has grad_norm_sq(u) passes it as grad_sq.
+    under u -> alpha*u, so every norm is taken of 2^k u, k the even integer
+    that puts max|2^k u| in [1/2, 2): the scaling is exact, so the ratio keeps
+    u's own bits where u's norms are in range and no norm leaves it at any
+    nonzero finite |u|. A caller that has grad_norm_sq(u) passes it as
+    grad_sq, scaled by 4^k unless it under- or overflowed.
     """
     if u.is_zero():
         raise ZeroField("Ladyzhenskaya ratio of a zero velocity field")
     g = u.grid
-    with np.errstate(over="ignore"):
-        uxc = 0.5 * (u.ux[:, :-1] + u.ux[:, 1:])
-        uyc = 0.5 * (u.uy[:-1, :] + u.uy[1:, :])
-        speed2 = uxc * uxc + uyc * uyc
-        l2_sq = g.vol * float(speed2.sum())
-        l4_4 = g.vol * float((speed2 * speed2).sum())
-        if grad_sq is None:
-            grad_sq = grad_norm_sq(u)
-    if max(l2_sq, l4_4, grad_sq) == np.inf:
-        top = u.max_speed()
-        return ladyzhenskaya_ratio(MacVectorField(g, u.ux / top, u.uy / top))
+    k = -2 * (np.frexp(u.max_speed())[1] // 2)
+    ux, uy = np.ldexp(u.ux, k), np.ldexp(u.uy, k)
+    uxc = 0.5 * (ux[:, :-1] + ux[:, 1:])
+    uyc = 0.5 * (uy[:-1, :] + uy[1:, :])
+    speed2 = uxc * uxc + uyc * uyc
+    l2_sq = g.vol * float(speed2.sum())
+    l4_4 = g.vol * float((speed2 * speed2).sum())
+    if grad_sq is not None and np.finfo(float).tiny <= grad_sq < np.inf:
+        grad_sq = np.ldexp(grad_sq, 2 * k)
+    else:
+        grad_sq = grad_norm_sq(MacVectorField(g, ux, uy))
     return float(l4_4 ** 0.25 / (np.sqrt(np.sqrt(l2_sq)) * grad_sq ** 0.25))

@@ -46,11 +46,8 @@ from .grid import (
     Grid2D,
     MacVectorField,
     ScalarField,
-    grad_norm_sq,
     grad_to_faces,
-    h1_seminorm,
     integrate,
-    kinetic_energy,
     load_matrix,
     save_matrix,
 )
@@ -183,14 +180,27 @@ class SimConfig:
         self._validate()
 
     def _validate(self):
-        """ConfigError naming the first key out of range. A mass m is out of
-        range when a density carrying it, or its potential, could have a grid
-        norm that overflows. The density peaks at m/vol, so (2m/vol)^2 max(vol, 1)
-        must be finite (a margin of 2 for v + w and v - w). (-Lap_h)^-1 >= 0 has
-        entries at most hx lx/4 and hy ly/4 (the discrete maximum principle), so
-        |phi| <= m min(lx/hy, ly/hx)/4, and solve_pb's stop multiplies phi's norm
-        by ||Lap_h|| + (M + N)/vol. vol/m must be finite, or the Newton direction
-        of solve_pb is not (its Woodbury scale is sqrt(vol/m))."""
+        """ConfigError naming the first key out of range, before any solve.
+
+        A mass m is out of range when a density carrying it, or its potential,
+        could have a grid norm that overflows. The density peaks at m/vol, so
+        (2m/vol)^2 max(vol, 1) must be finite (a margin of 2 for v + w and
+        v - w). (-Lap_h)^-1 >= 0 has entries at most hx lx/4 and hy ly/4 (the
+        discrete maximum principle), so |phi| <= P = max(M, N) min(lx/hy, ly/hx)/4,
+        and solve_pb's stop multiplies phi's norm by ||Lap_h|| + (M + N)/vol.
+        vol/m must be finite, or the Newton direction of solve_pb is not (its
+        Woodbury scale is sqrt(vol/m)). So h1_seminorm(phi0) = vol <phi0, v - w>
+        <= P (M + N) < DBL_MAX/3: its sum before the factor vol is at most a
+        third of the stop (nx ny >= 9), and with vol > 1 the stop's
+        P^2 vol < DBL_MAX/9 and the peak's 4 max(M, N)^2/vol < DBL_MAX bound it.
+
+        The vortex of vortex-charge (without charge files) has a corner
+        streamfunction of at most |A| = |initial.amplitude|, so 2|A| bounds its
+        differences, and s = 4 pi |A|/min(lx, ly), twice the mean-value bound,
+        its face speeds. grad_norm_sq squares at most 4 (nx + 1)(ny + 1)
+        differences of at most 2s/min(hx, hy), so with d = s max(1, 2/min(hx, hy)),
+        4 d^2 (nx + 1)(ny + 1) max(vol, 1) bounds it, 2 kinetic_energy and their sums.
+        """
         if self.dt <= 0.0:
             raise ConfigError("time.dt must be positive")
         if not math.isfinite(1.0 / self.dt):
@@ -201,6 +211,8 @@ class SimConfig:
             raise ConfigError("time.cfl_safety must lie in (0, 1]")
         if self.M <= 0.0 or self.N <= 0.0:
             raise ConfigError("masses initial.M and initial.N must be positive")
+        if bool(self.v_file) != bool(self.w_file):
+            raise ConfigError("initial.v_file and initial.w_file must be given together")
         if self.record_every < 1:
             raise ConfigError("output.record_every must be at least 1")
         if self.snapshot_every < 0:
@@ -219,6 +231,12 @@ class SimConfig:
             if not math.isfinite(g.vol / mass):
                 raise ConfigError(f"initial.{key} = {mass!r} is too small for this grid: "
                                   "the cell volume over it overflows")
+        if self.preset == "vortex-charge" and not self.v_file:
+            amp = abs(self.amplitude)
+            d = 4.0 * math.pi * amp / min(g.lx, g.ly) * max(1.0, 2.0 / min(g.hx, g.hy))
+            if not math.isfinite(2.0 * amp + 4.0 * d * d * (g.nx + 1) * (g.ny + 1) * max(g.vol, 1.0)):
+                raise ConfigError(f"initial.amplitude = {self.amplitude!r} is too large for this "
+                                  "grid: the squared norm of the initial velocity could overflow")
 
 
 def _parse(section, key, raw):
@@ -283,7 +301,9 @@ def presets():
 
 
 def _gaussian(X, Y, cx, cy, sigma):
-    return np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * sigma * sigma))
+    # a distance^2 that overflows gives exp(-inf) = 0, or nan; _normalized rejects both
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * sigma * sigma))
 
 
 def _normalized(grid, data, mass):
@@ -337,9 +357,7 @@ def build_initial_state(config, equilibrium=None):
     X, Y = grid.cell_centers()
     u0 = MacVectorField.zeros(grid)
 
-    if config.v_file or config.w_file:
-        if not (config.v_file and config.w_file):
-            raise ConfigError("initial.v_file and initial.w_file must be given together")
+    if config.v_file:
         try:
             v0 = ScalarField(grid, load_matrix(config.v_file))
             w0 = ScalarField(grid, load_matrix(config.w_file))
@@ -386,37 +404,7 @@ def setup(config):
             stacklevel=3,
         )
     equilibrium = solve_pb(config.M, config.N, config.grid)
-    state = build_initial_state(config, equilibrium)
-    _check_representable(config, state)
-    return equilibrium, state
-
-
-def _check_representable(config, state):
-    """ConfigError naming the key whose size makes a squared norm of the
-    initial state overflow.
-
-    The energy report squares every field it measures, so a config whose
-    initial potential or velocity has no finite squared H1 or grid-L2 norm
-    cannot be measured; such runs printed pages of overflow warnings and
-    most ended in a SolverError with residual inf or nan. The densities
-    need no entry here: they are nonnegative and carry the configured
-    masses (files to MASS_RTOL), so no cell holds more than its mass over
-    vol, and SimConfig._validate has bounded twice that. Measured on 8^2
-    grids: vortex-charge is rejected from amplitude 4.8e151, where
-    |grad u|^2 overflows (|u|^2 follows at 4.9e152, and runs failed from
-    1.85e152).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        sizes = (
-            (f"initial.M = {config.M!r} with initial.N = {config.N!r}", "potential",
-             h1_seminorm(state.phi)),
-            (f"initial.amplitude = {config.amplitude!r}", "velocity",
-             kinetic_energy(state.u) + grad_norm_sq(state.u)),
-        )
-    for key, what, size in sizes:
-        if not math.isfinite(size):
-            raise ConfigError(f"{key} is too large for this grid: the squared norm of "
-                              f"the initial {what} overflows")
+    return equilibrium, build_initial_state(config, equilibrium)
 
 
 # ---------------------------------------------------------------------------

@@ -389,7 +389,11 @@ def solve_pb(M, N, grid, max_iter=50):
         B.data[slots] = (v_f + w_f) - lap_diag
         delta = orbits.unfold(_newton_direction(B, g, orbits.mult, v_f, w_f, R_f, M, N, vol))
         slope = -vol * float(np.vdot(R, delta))
-        if not (np.isfinite(delta).all() and slope < 0.0):
+        descends = slope < 0.0
+        if not descends:  # on tiny cells vol R^T delta, or R^T delta, underflows: scale R, delta
+            with np.errstate(invalid="ignore"):
+                descends = np.vdot(R / np.abs(R).max(), delta / np.abs(delta).max()) > 0.0
+        if not (np.isfinite(delta).all() and descends):
             what = f"Poisson-Boltzmann Newton (no descent direction at iteration {k + 1})"
             raise NonConvergence(k, res, what)
         if J0 is None:

@@ -183,6 +183,7 @@ def _sweep(c, upper, lower, dt):
     return x
 
 
+@np.errstate(over="ignore", invalid="ignore")  # bands past the double range fail _sweep's checks
 def step_charges(v, w, phi, u, dt):
     """One split backward-Euler transport step for both species, potential lagged.
 

@@ -28,6 +28,7 @@ from ehd2d import (
     step_velocity,
 )
 from ehd2d import fluid
+from ehd2d.diagnostics import energy_report
 from ehd2d.errors import NonConvergence, ZeroField
 from ehd2d.poisson import _lap1d, _lap1d_eigenvalues, transform_solve
 from ehd2d.sim import _stream_velocity, setup
@@ -241,30 +242,36 @@ class TestLadyzhenskayaRatio:
         assert r1 == pytest.approx(r2, rel=1e-12)
 
     def test_huge_amplitude_keeps_the_ratio(self):
-        """|u|^4 overflows past |u| ~ 1e77; the ratio is then taken of u
-        over its largest component, so the 8^2 vortex-charge state at
-        amplitude 1e78 has the ratio of amplitude 1, and no warning."""
+        """|u|^4 overflows past |u| ~ 1e77 and underflows below 1e-77; the
+        norms are taken of u scaled by a power of two near 1/max|u|, so the
+        8^2 vortex-charge state at amplitude 1e78 or 1e-200 has the ratio of
+        amplitude 1, with no warning, and so has its energy report, whose
+        |grad u|^2 underflows to 0 at 1e-200 (at 1e-150 the report read 0,
+        and at 1e-200 nan)."""
         ratios = []
-        for amp in (1.0, 1e78):
+        for amp in (1.0, 1e78, 1e-80, 1e-150, 1e-200):
             cfg = load_config(preset="vortex-charge", overrides=[
                 "grid.nx=8", "grid.ny=8", f"initial.amplitude={amp}"])
-            u = setup(cfg)[1].u
+            equilibrium, state = setup(cfg)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                ratios.append(ladyzhenskaya_ratio(u))
-        assert np.isfinite(ratios[1])
-        assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
+                ratios.append(ladyzhenskaya_ratio(state.u))
+                assert energy_report(state, equilibrium).lady_ratio == ratios[-1]
+        assert np.isfinite(ratios).all()
+        assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=1e-12)
 
     def test_ratio_past_squares_overflow(self):
         """Past |u| ~ 1.3e154 the squares of u overflow too, and the ratio
-        was nan with eleven warnings; it is now taken of u over its largest
-        component, so amplitude 1e155 has the ratio of amplitude 1."""
+        was nan with eleven warnings; below 1e-154 they underflow. The ratio
+        is taken of u scaled near a largest component of 1, so amplitudes
+        1e155 and 1e-200 have the ratio of amplitude 1."""
         g = Grid2D(8, 8)
+        amps = (1.0, 1e155, 1e-80, 1e-150, 1e-200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ratios = [ladyzhenskaya_ratio(_stream_velocity(g, amp)) for amp in (1.0, 1e155)]
-        assert np.isfinite(ratios[1])
-        assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
+            ratios = [ladyzhenskaya_ratio(_stream_velocity(g, amp)) for amp in amps]
+        assert np.isfinite(ratios).all()
+        assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=1e-12)
 
     def test_below_interpolation_bound(self):
         """The continuum inequality has constant 1; discrete fields at 64^2

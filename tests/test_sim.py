@@ -6,15 +6,21 @@ advertised masses and constraints; CFL enforcement; recording cadence and
 snapshot layout; and bit-reproducible CSV output.
 """
 
+import math
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ehd2d import (
     div_from_faces,
     embed_stationary,
+    grad_norm_sq,
+    h1_seminorm,
     integrate,
+    kinetic_energy,
     load_matrix,
     lp_norm,
     save_matrix,
@@ -33,6 +39,10 @@ from ehd2d.sim import (
     step,
     trajectory,
 )
+
+
+# the starts of the messages of the rules that need the sampled preset profile
+PROFILE_RULES = ("the initial profile integrates to", "initial charge densities contain negative")
 
 
 def small(preset, *extra):
@@ -176,6 +186,57 @@ class TestInitialStates:
             _, st = setup(small(preset))
             assert st.u.max_speed() == 0.0, preset
 
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(preset=st.sampled_from(presets()),
+           shape=st.tuples(st.integers(3, 12), st.integers(3, 12)),
+           sides=st.tuples(st.floats(-150.0, 150.0), st.floats(-3.0, 3.0)),
+           densities=st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)),
+           amplitude=st.floats(-200.0, 200.0))
+    def test_every_taken_config_sets_up(self, preset, shape, sides, densities, amplitude):
+        """load_config decides every rule on a config's values before any
+        solve. setup then raises a ConfigError only for a rule on the sampled
+        preset profile, and the initial potential and velocity have finite
+        squared norms. Before, a check after the Newton solve rejected large
+        amplitudes, and vortices whose face speeds overflowed ended as solver
+        errors; tiny cells also made the solve find no descent direction."""
+        lx = 10.0 ** sides[0]
+        ly = lx * 10.0 ** sides[1]
+        M, N = (10.0 ** e * lx * ly for e in densities)
+        try:
+            cfg = load_config(preset=preset, overrides=[
+                f"grid.nx={shape[0]}", f"grid.ny={shape[1]}", f"grid.lx={lx!r}",
+                f"grid.ly={ly!r}", f"initial.M={M!r}", f"initial.N={N!r}",
+                f"initial.amplitude={10.0 ** amplitude!r}"])
+        except ConfigError:
+            assume(False)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # M + N above rho0_warn
+                _, st0 = setup(cfg)
+        except ConfigError as exc:
+            assert str(exc).startswith(PROFILE_RULES), exc
+            return
+        sizes = (kinetic_energy(st0.u), grad_norm_sq(st0.u), h1_seminorm(st0.phi))
+        assert all(map(math.isfinite, sizes)), sizes
+
+    @pytest.mark.parametrize("n, edge", [(8, 3.705e150), (64, 6.412e148)])
+    def test_amplitude_rule_edge(self, n, edge):
+        """vortex-charge on n^2 over the unit square takes amplitudes up to
+        edge (4 significant digits), in load_config; charge files, which
+        start the fluid at rest, lift the rule."""
+        def taken(amplitude, *extra):
+            try:
+                load_config(preset="vortex-charge", overrides=[
+                    f"grid.nx={n}", f"grid.ny={n}", f"initial.amplitude={amplitude!r}", *extra])
+            except ConfigError as exc:
+                assert str(exc).startswith(f"initial.amplitude = {amplitude!r} is too large")
+                return False
+            return True
+
+        assert taken(0.9999 * edge) and taken(-0.9999 * edge)
+        assert not taken(1.0001 * edge) and not taken(-1.0001 * edge)
+        assert taken(1e300, "initial.v_file=v.txt", "initial.w_file=w.txt")
+
     def test_near_equilibrium_zero_eps_is_stationary(self):
         cfg = small("near-equilibrium", "initial.eps=0.0")
         s = solve_pb(cfg.M, cfg.N, cfg.grid)
@@ -216,9 +277,8 @@ class TestInitialStates:
     def test_charge_files_must_come_together(self, tmp_path):
         vp = str(tmp_path / "v.txt")
         save_matrix(vp, np.ones((16, 16)))
-        cfg = small("symmetric-null", f"initial.v_file={vp}")
         with pytest.raises(ConfigError, match="together"):
-            build_initial_state(cfg)
+            small("symmetric-null", f"initial.v_file={vp}")
 
     def test_negative_charge_file_rejected(self, tmp_path):
         """Negative, misshapen (3x5 on 16^2), NaN-holding and missing charge

@@ -12,7 +12,7 @@ here as the reference.
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 from ehd2d import (
@@ -498,6 +498,33 @@ class TestMassBounds:
             s = solve_pb(M, 0.1, g)
             assert np.isfinite(s.residual) and s.residual <= newton_bound(s)
             assert integrate(s.v) == pytest.approx(M, rel=1e-13)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(shape=st.tuples(st.integers(3, 12), st.integers(3, 12)),
+           box=st.tuples(st.floats(-150.0, 150.0), st.floats(-3.0, 3.0)).map(
+               lambda t: (10.0 ** t[0], 10.0 ** (t[0] + t[1]))),
+           densities=st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)).map(
+               lambda t: (10.0 ** t[0], 10.0 ** t[1])))
+    @example(shape=(12, 11), box=(1.6866016677408867e-139, 2.688173269249764e-141),
+             densities=(6.318072325896256e+102, 3.484293539287457e+104))
+    @example(shape=(9, 4), box=(1.8516883930448976e-20, 4.0776011479080325e-23),
+             densities=(1.9634261725693688e-141, 4.677284222136112e-146))
+    def test_tiny_and_huge_boxes_converge(self, shape, box, densities):
+        """Boxes from 1e-150 to 1e150 a side, at the mean densities a config
+        takes. On tiny cells the slope -vol R^T delta underflowed to 0 (the
+        first example), or R^T delta itself did (the second), so the solve
+        found no descent direction and exited 2; its sign is now taken of R
+        and delta scaled to a largest entry of 1."""
+        lx, ly = box
+        M, N = (rho * lx * ly for rho in densities)
+        try:
+            cfg = load_config(overrides=[f"grid.nx={shape[0]}", f"grid.ny={shape[1]}",
+                                         f"grid.lx={lx!r}", f"grid.ly={ly!r}",
+                                         f"initial.M={M!r}", f"initial.N={N!r}"])
+        except ConfigError:
+            assume(False)
+        s = solve_pb(M, N, cfg.grid)
+        assert np.isfinite(s.residual) and s.residual <= newton_bound(s)
 
 
 # square-ish grids from 3x3 to 32x32, and thin ones up to 1:64 either way
